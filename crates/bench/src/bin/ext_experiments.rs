@@ -3,6 +3,7 @@
 //! Usage: `ext_experiments [--csv <dir>] [--threads <n>]`
 
 use sm_accel::AccelConfig;
+use sm_bench::cas::SweepCtx;
 use sm_bench::experiments::*;
 use sm_bench::report::Table;
 
@@ -29,13 +30,15 @@ fn main() {
         ext_ddr_bandwidth(cfg, 1).table,
         ext_bcu_overhead(cfg),
         ext_architecture_comparison(cfg, 1).table,
-        retry_budget_sweep(
+        retry_budget(
             &sm_model::zoo::resnet34(1),
             cfg,
             42,
             0.05,
             &DEFAULT_RETRY_BUDGETS,
+            SweepCtx::default(),
         )
+        .expect("a sweep without a cancel source cannot be cancelled")
         .table(),
     ];
     for t in &tables {

@@ -20,14 +20,15 @@
 //!   observes its own hit/miss/eviction counters, so concurrent service
 //!   requests don't smear each other's rates, while the store accumulates
 //!   process totals (surfaced like `plan_cache_stats`).
-//! * [`cached_cells`] is the delta-simulation driver: it probes the cache
-//!   for every cell of a sweep and hands **only the missing cells** to
-//!   [`sm_core::parallel::par_map_weighted_stream`], merging cached and
-//!   computed results back into sweep order. A warm re-run that shares most
-//!   of its cells simulates only the delta and stays byte-identical to a
-//!   cold run at any thread count. [`cached_cells_cancellable`] is the same
-//!   driver with a cooperative cancel check — the deadline/abort hook of
-//!   the resident service.
+//! * [`cached_cells`] is the one sweep dispatcher: it probes the cache for
+//!   every cell of a sweep and hands **only the missing cells** to
+//!   [`sm_core::parallel::par_map_weighted_stream_cancellable`], merging
+//!   cached and computed results back into sweep order. A warm re-run that
+//!   shares most of its cells simulates only the delta and stays
+//!   byte-identical to a cold run at any thread count. A [`SweepCtx`]
+//!   carries the optional cache session, the optional cancel check (the
+//!   deadline/abort hook of the resident service) and the per-cell
+//!   streaming callback.
 //!
 //! # Storage faults, health, and bounds
 //!
@@ -787,83 +788,90 @@ impl CacheSession<'_> {
     }
 }
 
-/// Runs one sweep with per-cell cache consultation: cached cells are read
-/// back, and **only the missing cells** are dispatched to
-/// [`sm_core::parallel::par_map_weighted_stream`] (largest-cost-first over
-/// the configured worker pool). Results come back in sweep order,
-/// byte-identical to the uncached sweep at any thread count.
-///
-/// * `keys[i]` must be the [`cell_key`] of `items[i]`.
-/// * `on_cell(i, cached, &result)` fires once per cell in strictly
-///   ascending sweep order, as soon as every earlier cell is resolved —
-///   the streaming hook the resident service emits per-cell JSON from.
-///   `cached` says whether the cell was answered from the store.
-/// * With `session == None` the cache layer disappears: every cell is
-///   computed, `on_cell` still streams in order.
-///
-/// Freshly computed cells are written back to the store as they complete.
-pub fn cached_cells<T, U, C, F, G>(
-    session: Option<&CacheSession<'_>>,
-    items: &[T],
-    keys: &[CacheKey],
-    cost: C,
-    run: F,
-    on_cell: G,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Serialize + Deserialize + Send,
-    C: Fn(&T) -> u64,
-    F: Fn(&T) -> U + Sync,
-    G: FnMut(usize, bool, &U),
-{
-    cached_cells_cancellable(session, items, keys, cost, run, on_cell, None)
-        .expect("a dispatch without a cancel source cannot be cancelled")
+/// Per-cell streaming callback of a [`SweepCtx`]: `(index, cached, cell)`.
+pub type OnCell<'a, U> = Box<dyn FnMut(usize, bool, &U) + 'a>;
+
+/// How one sweep runs: which result cache it consults, what may cancel it,
+/// and who sees each cell as it resolves. Every sweep takes one, and
+/// [`SweepCtx::default`] is the plain run: no cache, no cancel source, no
+/// per-cell callback.
+pub struct SweepCtx<'a, U> {
+    /// Session of a shared result store; `None` computes every cell.
+    pub cache: Option<&'a CacheSession<'a>>,
+    /// Cooperative cancel check (deadlines, dead clients); `None` never
+    /// cancels.
+    pub cancel: Option<CancelCheck<'a>>,
+    /// Called as `on_cell(i, cached, &cell)` once per cell in strictly
+    /// ascending sweep order, as soon as every earlier cell is resolved;
+    /// `cached` says whether the cell was answered from the store.
+    pub on_cell: OnCell<'a, U>,
 }
 
-/// [`cached_cells`] with a cooperative cancel check — the hook request
-/// deadlines and client-write failures use to stop a sweep at cell
-/// granularity.
+impl<U> Default for SweepCtx<'_, U> {
+    fn default() -> Self {
+        SweepCtx {
+            cache: None,
+            cancel: None,
+            on_cell: Box::new(|_, _, _| {}),
+        }
+    }
+}
+
+/// The one sweep dispatcher: runs `eval` over `cells` with per-cell cache
+/// consultation. Cached cells are read back, and **only the missing cells**
+/// are dispatched to
+/// [`sm_core::parallel::par_map_weighted_stream_cancellable`]
+/// (largest-`cost`-first over the configured worker pool). Results come
+/// back in sweep order, byte-identical to the uncached sweep at any thread
+/// count, and freshly computed cells are written back to the store as they
+/// complete.
 ///
-/// The check is consulted once before dispatch (so an already-expired
-/// deadline cancels even a fully warm request, deterministically emitting
-/// zero cells) and then before each computed cell. On cancellation the
-/// cells already streamed through `on_cell` form a contiguous prefix of
-/// the sweep; no further cells fire and `Err(Cancelled)` is returned.
+/// * `keys()` must return the [`cell_key`] of every cell, in order; it is
+///   only called when `ctx.cache` is set, so an uncached sweep never pays
+///   for fingerprinting.
+/// * `ctx.on_cell` streams every cell in order (see [`SweepCtx`]); with no
+///   cache it still streams, every cell reported as computed.
+/// * `ctx.cancel` is consulted once before dispatch (so an already-expired
+///   deadline cancels even a fully warm request, deterministically emitting
+///   zero cells) and then before each computed cell. On cancellation the
+///   cells already streamed form a contiguous prefix of the sweep; no
+///   further cells fire.
 ///
 /// # Errors
 ///
 /// Returns [`Cancelled`] when the cancel check fired before the sweep
 /// completed.
-#[allow(clippy::too_many_arguments)]
-pub fn cached_cells_cancellable<T, U, C, F, G>(
-    session: Option<&CacheSession<'_>>,
-    items: &[T],
-    keys: &[CacheKey],
-    cost: C,
-    run: F,
-    mut on_cell: G,
-    cancel: Option<CancelCheck<'_>>,
+pub fn cached_cells<T, U>(
+    ctx: SweepCtx<'_, U>,
+    cells: &[T],
+    keys: impl FnOnce() -> Vec<CacheKey>,
+    cost: impl Fn(&T) -> u64,
+    eval: impl Fn(&T) -> U + Sync,
 ) -> Result<Vec<U>, Cancelled>
 where
     T: Sync,
     U: Serialize + Deserialize + Send,
-    C: Fn(&T) -> u64,
-    F: Fn(&T) -> U + Sync,
-    G: FnMut(usize, bool, &U),
 {
-    assert_eq!(items.len(), keys.len(), "one key per sweep cell");
-    let mut slots: Vec<Option<U>> = match session {
-        Some(s) => keys.iter().map(|&k| s.get::<U>(k)).collect(),
-        None => (0..items.len()).map(|_| None).collect(),
+    let SweepCtx {
+        cache,
+        cancel,
+        mut on_cell,
+    } = ctx;
+    let keys = cache.map(|_| keys()).unwrap_or_default();
+    let mut slots: Vec<Option<U>> = match cache {
+        Some(s) => {
+            assert_eq!(cells.len(), keys.len(), "one key per sweep cell");
+            keys.iter().map(|&k| s.get::<U>(k)).collect()
+        }
+        None => (0..cells.len()).map(|_| None).collect(),
     };
     // Checked once up front so an already-fired cancel (deadline 0, dead
     // client) yields zero cells even when every cell is a cache hit.
     if cancel.is_some_and(|c| c()) {
         return Err(Cancelled);
     }
-    let missing: Vec<usize> = (0..items.len()).filter(|&i| slots[i].is_none()).collect();
-    let missing_items: Vec<&T> = missing.iter().map(|&i| &items[i]).collect();
+    let missing: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
+    let missing_cells: Vec<&T> = missing.iter().map(|&i| &cells[i]).collect();
 
     // Stream computed cells back in order, advancing the global frontier
     // over the mix of cached and computed cells: when missing[j] completes,
@@ -872,10 +880,10 @@ where
     // cache hits.
     let mut frontier = 0usize;
     let computed = par_map_weighted_stream_cancellable(
-        &missing_items,
+        &missing_cells,
         threads(),
-        |item| cost(item),
-        |item| run(item),
+        |cell| cost(cell),
+        |cell| eval(cell),
         |j, u| {
             let gi = missing[j];
             while frontier < gi {
@@ -885,7 +893,7 @@ where
                 on_cell(frontier, true, cached);
                 frontier += 1;
             }
-            if let Some(s) = session {
+            if let Some(s) = cache {
                 s.put(keys[gi], u);
             }
             on_cell(gi, false, u);
@@ -1191,27 +1199,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn keys_of(tag: &str, items: &[u64]) -> Vec<CacheKey> {
+        items.iter().map(|i| cell_key(tag, i).unwrap()).collect()
+    }
+
+    fn cached<'a>(session: &'a CacheSession<'a>) -> SweepCtx<'a, Cell> {
+        SweepCtx {
+            cache: Some(session),
+            ..SweepCtx::default()
+        }
+    }
+
     #[test]
     fn cached_cells_computes_only_the_delta_in_order() {
         let dir = tmp_dir("delta");
         let store = ResultCache::open(&dir).unwrap();
         let items: Vec<u64> = (0..10).collect();
-        let keys: Vec<CacheKey> = items
-            .iter()
-            .map(|i| cell_key("delta", i).unwrap())
-            .collect();
         let run = |x: &u64| cell(*x);
 
         let cold_session = store.session();
         let mut order = Vec::new();
-        let cold = cached_cells(
-            Some(&cold_session),
-            &items,
-            &keys,
-            |_| 1,
-            run,
-            |i, cached, _| order.push((i, cached)),
-        );
+        let ctx = SweepCtx {
+            on_cell: Box::new(|i, cached, _: &Cell| order.push((i, cached))),
+            ..cached(&cold_session)
+        };
+        let cold = cached_cells(ctx, &items, || keys_of("delta", &items), |_| 1, run).unwrap();
         assert_eq!(cold, items.iter().map(|&x| cell(x)).collect::<Vec<_>>());
         assert_eq!(cold_session.stats().misses, 10);
         assert!(order.iter().all(|&(_, cached)| !cached));
@@ -1224,20 +1236,13 @@ mod tests {
         // is dispatched.
         let mut items2 = items.clone();
         items2[4] = 99;
-        let keys2: Vec<CacheKey> = items2
-            .iter()
-            .map(|i| cell_key("delta", i).unwrap())
-            .collect();
         let warm_session = store.session();
         let mut order2 = Vec::new();
-        let warm = cached_cells(
-            Some(&warm_session),
-            &items2,
-            &keys2,
-            |_| 1,
-            run,
-            |i, cached, _| order2.push((i, cached)),
-        );
+        let ctx = SweepCtx {
+            on_cell: Box::new(|i, cached, _: &Cell| order2.push((i, cached))),
+            ..cached(&warm_session)
+        };
+        let warm = cached_cells(ctx, &items2, || keys_of("delta", &items2), |_| 1, run).unwrap();
         assert_eq!(warm, items2.iter().map(|&x| cell(x)).collect::<Vec<_>>());
         let s = warm_session.stats();
         assert_eq!((s.hits, s.misses), (9, 1), "{s:?}");
@@ -1249,14 +1254,9 @@ mod tests {
         assert!(order2.iter().filter(|&&(_, c)| c).count() == 9);
 
         // Fully warm: zero dispatches, still in order.
-        let full = cached_cells(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            run,
-            |_, _, _| {},
-        );
+        let full_session = store.session();
+        let ctx = cached(&full_session);
+        let full = cached_cells(ctx, &items, || keys_of("delta", &items), |_| 1, run).unwrap();
         assert_eq!(full, cold);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1264,22 +1264,17 @@ mod tests {
     #[test]
     fn cached_cells_without_a_session_streams_everything() {
         let items: Vec<u64> = (0..5).collect();
-        let keys: Vec<CacheKey> = items
-            .iter()
-            .map(|i| cell_key("nocache", i).unwrap())
-            .collect();
         let mut count = 0;
-        let out = cached_cells(
-            None,
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, cached, _| {
+        let ctx = SweepCtx {
+            on_cell: Box::new(|_, cached, _: &Cell| {
                 assert!(!cached);
                 count += 1;
-            },
-        );
+            }),
+            ..SweepCtx::default()
+        };
+        // Without a cache the keys are never derived.
+        let no_keys = || unreachable!("keys are only derived for a cache");
+        let out = cached_cells(ctx, &items, no_keys, |_| 1, |&x| cell(x)).unwrap();
         assert_eq!(out.len(), 5);
         assert_eq!(count, 5);
     }
@@ -1289,58 +1284,37 @@ mod tests {
         let dir = tmp_dir("cancel-warm");
         let store = ResultCache::open(&dir).unwrap();
         let items: Vec<u64> = (0..6).collect();
-        let keys: Vec<CacheKey> = items.iter().map(|i| cell_key("cw", i).unwrap()).collect();
+        let keys = || keys_of("cw", &items);
         // Warm the store fully.
-        let _ = cached_cells(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| {},
-        );
+        let warm = store.session();
+        let _ = cached_cells(cached(&warm), &items, keys, |_| 1, |&x| cell(x));
         let fired = AtomicBool::new(true);
         let check = || fired.load(Ordering::Relaxed);
         let mut emitted = 0usize;
-        let out = cached_cells_cancellable(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| emitted += 1,
-            Some(&check),
-        );
+        let session = store.session();
+        let ctx = SweepCtx {
+            cancel: Some(&check),
+            on_cell: Box::new(|_, _, _: &Cell| emitted += 1),
+            ..cached(&session)
+        };
+        let out = cached_cells(ctx, &items, keys, |_| 1, |&x| cell(x));
         assert_eq!(out, Err(Cancelled));
         assert_eq!(emitted, 0, "a dead request emits nothing, even warm");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn cancellable_without_cancel_matches_plain_cached_cells() {
+    fn cached_runs_without_cancel_match_the_serial_map() {
         let dir = tmp_dir("cancel-none");
         let store = ResultCache::open(&dir).unwrap();
         let items: Vec<u64> = (0..8).collect();
-        let keys: Vec<CacheKey> = items.iter().map(|i| cell_key("cn", i).unwrap()).collect();
-        let plain = cached_cells(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| {},
-        );
-        let cancellable = cached_cells_cancellable(
-            Some(&store.session()),
-            &items,
-            &keys,
-            |_| 1,
-            |&x| cell(x),
-            |_, _, _| {},
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain, cancellable);
+        let serial: Vec<Cell> = items.iter().map(|&x| cell(x)).collect();
+        let keys = || keys_of("cn", &items);
+        for _ in ["cold", "warm"] {
+            let session = store.session();
+            let out = cached_cells(cached(&session), &items, keys, |_| 1, |&x| cell(x));
+            assert_eq!(out, Ok(serial.clone()));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,34 +1,37 @@
 //! Graceful-degradation studies: traffic and throughput as hardware fails.
 //!
-//! Robustness extension beyond the paper, in five escalating sweeps:
+//! Robustness extension beyond the paper, in six sweeps, each named after
+//! its `smctl serve` kind:
 //!
-//! * [`chaos_degradation`] — bank-failure fractions on one network;
+//! * [`chaos_curve`] — bank-failure fractions on one network;
 //! * [`chaos_grid`] — bank-failure fraction × DRAM fault rate (2-D);
 //! * [`chaos_grid3`] — the 3-D volume adding a weight-SRAM/PE-array
 //!   site-strike axis under parity protection;
-//! * [`control_path_sweep`] — BCU mapping-table strikes under SECDED ECC
+//! * [`control_path`] — BCU mapping-table strikes under SECDED ECC
 //!   with a multi-bit width distribution, comparing the
 //!   [`RecoveryPolicy`] ladder (abort / refetch / recompute);
-//! * [`scheduler_sweep`] — scheduler-metadata strikes (retention table,
+//! * [`scheduler`] — scheduler-metadata strikes (retention table,
 //!   pin set, spill queue) comparing all four recovery tiers including
-//!   checkpoint/rollback.
+//!   checkpoint/rollback;
+//! * [`retry_budget`] — the DRAM retry budget at a fixed fault rate.
 //!
 //! Every run executes in checked mode under a deterministic [`FaultPlan`],
 //! so an accounting violation would surface as a typed error in the report
-//! rather than a wrong number, and every sweep fans out over
+//! rather than a wrong number. Every sweep builds its cells and hands them
+//! to the one dispatcher, [`cached_cells`], under the caller's [`SweepCtx`]
+//! (result cache, cancel check, per-cell stream), so each fans out over
 //! [`sm_core::parallel`] as one flattened batch — byte-identical at any
-//! thread count.
+//! thread count, cached or not.
 
 use serde::{Deserialize, Serialize};
 
-use sm_accel::AccelConfig;
+use sm_accel::{AccelConfig, RunStats};
+use sm_core::parallel::Cancelled;
 use sm_core::{FaultPlan, Policy, Protection, RecoveryPolicy, SimOptions};
 use sm_mem::TrafficClass;
 use sm_model::Network;
 
-use sm_core::parallel::{CancelCheck, Cancelled};
-
-use crate::cas::{cached_cells_cancellable, cell_key, content_fingerprint, CacheKey, CacheSession};
+use crate::cas::{cached_cells, cell_key, content_fingerprint, CacheSession, SweepCtx};
 use crate::report::{pct, Table};
 
 /// Everything a chaos cell's result is a function of, serialized
@@ -45,34 +48,76 @@ struct ChaosKeyInputs {
     plan: FaultPlan,
 }
 
-/// Per-cell cache key of a chaos sweep.
-fn chaos_cell_key(
-    kind: &str,
-    net: &Network,
-    net_fingerprint: &str,
-    config: &AccelConfig,
-    plan: &FaultPlan,
-) -> CacheKey {
-    cell_key(
-        kind,
-        &ChaosKeyInputs {
-            network: net.name().to_string(),
-            net_fingerprint: net_fingerprint.to_string(),
-            config: *config,
-            policy: Policy::shortcut_mining(),
-            plan: plan.clone(),
-        },
-    )
-    .expect("chaos cell inputs serialize")
+/// Applies the `--retry-budget` override, keeping the plan's first-retry
+/// stall; `None` keeps the [`FaultPlan`] default.
+fn with_budget(plan: FaultPlan, budget: Option<u32>) -> FaultPlan {
+    match budget {
+        Some(budget) => {
+            let stall = plan.retry_stall_cycles;
+            plan.with_retry_budget(budget, stall)
+        }
+        None => plan,
+    }
 }
 
-/// One network fingerprint per sweep, shared by every cell key.
-fn net_fingerprint(net: &Network) -> String {
-    content_fingerprint(net).expect("networks serialize")
+/// Every `(a, b)` pair, `a`-major (row-major over a 2-D sweep).
+fn cross<A: Copy, B: Copy>(a: &[A], b: &[B]) -> Vec<(A, B)> {
+    a.iter()
+        .flat_map(|&x| b.iter().map(move |&y| (x, y)))
+        .collect()
+}
+
+/// The body every chaos sweep shares: one checked Shortcut Mining run of
+/// `net` per cell under `plan_for(cell)`, dispatched by [`cached_cells`]
+/// with `kind`-tagged cell keys. `fold` turns a cell and its run (the
+/// stats, or the display form of the [`sm_core::SimError`]) into the cell
+/// result.
+fn chaos_cells<T, U>(
+    kind: &str,
+    net: &Network,
+    config: AccelConfig,
+    cells: &[T],
+    plan_for: impl Fn(&T) -> FaultPlan + Sync,
+    fold: impl Fn(&T, Result<&RunStats, String>) -> U + Sync,
+    ctx: SweepCtx<'_, U>,
+) -> Result<Vec<U>, Cancelled>
+where
+    T: Sync,
+    U: Serialize + Deserialize + Send,
+{
+    let exp = sm_core::Experiment::new(config);
+    // One network fingerprint per sweep, shared by every cell key.
+    let keys = || {
+        let net_fingerprint = content_fingerprint(net).expect("networks serialize");
+        let key = |c| ChaosKeyInputs {
+            network: net.name().to_string(),
+            net_fingerprint: net_fingerprint.clone(),
+            config,
+            policy: Policy::shortcut_mining(),
+            plan: plan_for(c),
+        };
+        cells
+            .iter()
+            .map(|c| cell_key(kind, &key(c)).expect("chaos cell inputs serialize"))
+            .collect()
+    };
+    // Every cell replays the same network, so the MAC count is the
+    // per-cell cost estimate.
+    cached_cells(
+        ctx,
+        cells,
+        keys,
+        |_| net.total_macs(),
+        |c| {
+            let options = SimOptions::with_faults(plan_for(c));
+            let run = exp.run_checked(net, Policy::shortcut_mining(), &options);
+            fold(c, run.as_ref().map(|r| &r.stats).map_err(|e| e.to_string()))
+        },
+    )
 }
 
 /// One point on a degradation curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosPoint {
     /// Requested fraction of pool banks to fail.
     pub fail_fraction: f64,
@@ -149,45 +194,64 @@ impl ChaosCurve {
 /// checked mode under a deterministic fault plan at each point.
 ///
 /// `fractions` are clamped to `[0, 1]`; the first point is conventionally
-/// `0.0` so the curve anchors at fault-free behavior.
-pub fn chaos_degradation(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-) -> ChaosCurve {
-    chaos_degradation_with_budget(net, config, seed, fractions, dram_fault_rate, None)
-}
-
-/// [`chaos_degradation`] with an explicit retry budget (the `--retry-budget`
-/// knob). `None` keeps the [`FaultPlan`] default. Points are independent, so
-/// the sweep fans out over [`sm_core::parallel`]; sweep order is preserved.
-pub fn chaos_degradation_with_budget(
+/// `0.0` so the curve anchors at fault-free behavior. `retry_budget`
+/// overrides the [`FaultPlan`] default when `Some` (the `--retry-budget`
+/// knob). Points are independent and keep sweep order.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+pub fn chaos_curve(
     net: &Network,
     config: AccelConfig,
     seed: u64,
     fractions: &[f64],
     dram_fault_rate: f64,
     retry_budget: Option<u32>,
-) -> ChaosCurve {
-    chaos_degradation_with_budget_cached(
+    ctx: SweepCtx<'_, ChaosPoint>,
+) -> Result<ChaosCurve, Cancelled> {
+    let base_plan = with_budget(
+        FaultPlan::new(seed).with_dram_faults(dram_fault_rate),
+        retry_budget,
+    );
+    let points = chaos_cells(
+        "chaos-point",
         net,
         config,
-        seed,
         fractions,
+        |&f| base_plan.clone().with_bank_failures(f),
+        |&fail_fraction, run| match run {
+            Ok(s) => ChaosPoint {
+                fail_fraction,
+                banks_failed: s.faults.banks_failed,
+                completed: true,
+                error: None,
+                fm_bytes: s.fm_traffic_bytes(),
+                total_bytes: s.total_traffic_bytes(),
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                evicted_bytes: s.faults.evicted_bytes,
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(e) => ChaosPoint {
+                fail_fraction,
+                error: Some(e),
+                ..ChaosPoint::default()
+            },
+        },
+        ctx,
+    )?;
+    Ok(ChaosCurve {
+        network: net.name().to_string(),
+        seed,
         dram_fault_rate,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
+        max_retries: base_plan.max_retries,
+        points,
+    })
 }
 
-/// [`chaos_degradation_with_budget`] with per-point result-cache
-/// consultation: points already in `cache` are read back and only the
-/// missing points are simulated (delta simulation). `on_cell` streams
-/// every point in sweep order as it resolves; the curve is byte-identical
-/// to the uncached sweep at any thread count.
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`chaos_curve`].
 #[allow(clippy::too_many_arguments)]
 pub fn chaos_degradation_with_budget_cached(
     net: &Network,
@@ -199,113 +263,20 @@ pub fn chaos_degradation_with_budget_cached(
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ChaosPoint),
 ) -> ChaosCurve {
-    chaos_degradation_cancellable(
+    chaos_curve(
         net,
         config,
         seed,
         fractions,
         dram_fault_rate,
         retry_budget,
-        cache,
-        on_cell,
-        None,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
     )
     .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_degradation_with_budget_cached`] with a cooperative cancel
-/// check (deadlines, dead clients): consulted before dispatch and before
-/// each computed point, so cancellation stops the sweep at cell
-/// granularity after a contiguous streamed prefix.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_degradation_cancellable(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    dram_fault_rate: f64,
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosPoint),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<ChaosCurve, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let base_plan = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
-    let base_plan = match retry_budget {
-        Some(budget) => {
-            let stall = base_plan.retry_stall_cycles;
-            base_plan.with_retry_budget(budget, stall)
-        }
-        None => base_plan,
-    };
-    let fp = net_fingerprint(net);
-    let plan_for = |f: f64| base_plan.clone().with_bank_failures(f);
-    let keys: Vec<CacheKey> = fractions
-        .iter()
-        .map(|&f| chaos_cell_key("chaos-point", net, &fp, &config, &plan_for(f)))
-        .collect();
-    // Cost-aware dispatch: every point replays the same network, so the
-    // MAC count is the per-cell cost estimate (uniform here, but the grid
-    // variants mix networks upstream and inherit the same call shape).
-    let points = cached_cells_cancellable(
-        cache,
-        fractions,
-        &keys,
-        |_| net.total_macs(),
-        |&f| {
-            let options = SimOptions::with_faults(plan_for(f));
-            run_chaos_point(&exp, net, f, &options)
-        },
-        on_cell,
-        cancel,
-    )?;
-    Ok(ChaosCurve {
-        network: net.name().to_string(),
-        seed,
-        dram_fault_rate,
-        max_retries: base_plan.max_retries,
-        points,
-    })
-}
-
-/// Runs one checked Shortcut Mining simulation and folds it into a
-/// [`ChaosPoint`].
-fn run_chaos_point(
-    exp: &sm_core::Experiment,
-    net: &Network,
-    fail_fraction: f64,
-    options: &SimOptions,
-) -> ChaosPoint {
-    match exp.run_checked(net, Policy::shortcut_mining(), options) {
-        Ok(run) => ChaosPoint {
-            fail_fraction,
-            banks_failed: run.stats.faults.banks_failed,
-            completed: true,
-            error: None,
-            fm_bytes: run.stats.fm_traffic_bytes(),
-            total_bytes: run.stats.total_traffic_bytes(),
-            retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-            evicted_bytes: run.stats.faults.evicted_bytes,
-            total_cycles: run.stats.total_cycles,
-            throughput_gops: run.stats.throughput_gops(),
-        },
-        Err(e) => ChaosPoint {
-            fail_fraction,
-            banks_failed: 0,
-            completed: false,
-            error: Some(e.to_string()),
-            fm_bytes: 0,
-            total_bytes: 0,
-            retry_bytes: 0,
-            evicted_bytes: 0,
-            total_cycles: 0,
-            throughput_gops: 0.0,
-        },
-    }
 }
 
 /// The default sweep: fault-free anchor plus five escalating fractions.
@@ -319,7 +290,7 @@ pub const DEFAULT_GRID_RATES: [f64; 3] = [0.0, 0.05, 0.2];
 
 /// One cell of the 2-D degradation grid: one checked run at a
 /// (bank-failure fraction, DRAM fault rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosGridCell {
     /// Requested fraction of pool banks to fail.
     pub bank_fail_fraction: f64,
@@ -400,6 +371,10 @@ impl ChaosGrid {
 /// `--retry-budget` knob). All cells share `seed`, so a cell's fault
 /// stream depends only on its own (fraction, rate) pair and the grid is
 /// deterministic for a fixed seed.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
 pub fn chaos_grid(
     net: &Network,
     config: AccelConfig,
@@ -407,24 +382,50 @@ pub fn chaos_grid(
     fractions: &[f64],
     rates: &[f64],
     retry_budget: Option<u32>,
-) -> ChaosGrid {
-    chaos_grid_cached(
+    ctx: SweepCtx<'_, ChaosGridCell>,
+) -> Result<ChaosGrid, Cancelled> {
+    let cells = chaos_cells(
+        "chaos-grid-cell",
         net,
         config,
+        &cross(fractions, rates),
+        |&(f, r)| {
+            let plan = FaultPlan::new(seed)
+                .with_bank_failures(f)
+                .with_dram_faults(r);
+            with_budget(plan, retry_budget)
+        },
+        |&(f, r), run| match run {
+            Ok(s) => ChaosGridCell {
+                bank_fail_fraction: f,
+                dram_fault_rate: r,
+                completed: true,
+                error: None,
+                fm_bytes: s.fm_traffic_bytes(),
+                total_bytes: s.total_traffic_bytes(),
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_cycles: s.total_cycles,
+            },
+            Err(e) => ChaosGridCell {
+                bank_fail_fraction: f,
+                dram_fault_rate: r,
+                error: Some(e),
+                ..ChaosGridCell::default()
+            },
+        },
+        ctx,
+    )?;
+    Ok(ChaosGrid {
+        network: net.name().to_string(),
         seed,
-        fractions,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
+        fractions: fractions.to_vec(),
+        rates: rates.to_vec(),
+        cells,
+    })
 }
 
-/// [`chaos_grid`] with per-cell result-cache consultation: cells already in
-/// `cache` are read back and only the missing cells are dispatched (delta
-/// simulation). `on_cell` streams every cell in row-major order as it
-/// resolves; the grid is byte-identical to the uncached sweep at any
-/// thread count.
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`chaos_grid`].
 #[allow(clippy::too_many_arguments)]
 pub fn chaos_grid_cached(
     net: &Network,
@@ -436,98 +437,20 @@ pub fn chaos_grid_cached(
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ChaosGridCell),
 ) -> ChaosGrid {
-    chaos_grid_cancellable(
+    chaos_grid(
         net,
         config,
         seed,
         fractions,
         rates,
         retry_budget,
-        cache,
-        on_cell,
-        None,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
     )
     .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_grid_cached`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid_cancellable(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGridCell),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<ChaosGrid, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(f64, f64)> = fractions
-        .iter()
-        .flat_map(|&f| rates.iter().map(move |&r| (f, r)))
-        .collect();
-    let plan_for = |f: f64, r: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bank_failures(f)
-            .with_dram_faults(r);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(f, r)| chaos_cell_key("chaos-grid-cell", net, &fp, &config, &plan_for(f, r)))
-        .collect();
-    let cells = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
-        |&(f, r)| {
-            let options = SimOptions::with_faults(plan_for(f, r));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ChaosGridCell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    completed: true,
-                    error: None,
-                    fm_bytes: run.stats.fm_traffic_bytes(),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_cycles: run.stats.total_cycles,
-                },
-                Err(e) => ChaosGridCell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    fm_bytes: 0,
-                    total_bytes: 0,
-                    retry_bytes: 0,
-                    total_cycles: 0,
-                },
-            }
-        },
-        on_cell,
-        cancel,
-    )?;
-    Ok(ChaosGrid {
-        network: net.name().to_string(),
-        seed,
-        fractions: fractions.to_vec(),
-        rates: rates.to_vec(),
-        cells,
-    })
 }
 
 /// Default site-strike rates of the 3-D grid (`smctl chaos --grid
@@ -536,7 +459,7 @@ pub const DEFAULT_GRID_SITE_RATES: [f64; 2] = [0.0, 0.3];
 
 /// One cell of the 3-D degradation grid: one checked run at a
 /// (bank-failure fraction, DRAM fault rate, site-strike rate) triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosGrid3Cell {
     /// Requested fraction of pool banks to fail.
     pub bank_fail_fraction: f64,
@@ -638,6 +561,11 @@ impl ChaosGrid3 {
 /// protection (detected, value-safe); `retry_budget` overrides the
 /// [`FaultPlan`] default when `Some`. All cells share `seed`, so a cell
 /// depends only on its own triple and the volume is deterministic.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+#[allow(clippy::too_many_arguments)]
 pub fn chaos_grid3(
     net: &Network,
     config: AccelConfig,
@@ -646,131 +574,42 @@ pub fn chaos_grid3(
     rates: &[f64],
     site_rates: &[f64],
     retry_budget: Option<u32>,
-) -> ChaosGrid3 {
-    chaos_grid3_cached(
-        net,
-        config,
-        seed,
-        fractions,
-        rates,
-        site_rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`chaos_grid3`] with per-cell result-cache consultation: cells already
-/// in `cache` are read back and only the missing cells are dispatched
-/// (delta simulation). `on_cell` streams every cell in flattened order as
-/// it resolves; the volume is byte-identical to the uncached sweep at any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid3_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    site_rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
-) -> ChaosGrid3 {
-    chaos_grid3_cancellable(
-        net,
-        config,
-        seed,
-        fractions,
-        rates,
-        site_rates,
-        retry_budget,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`chaos_grid3_cached`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn chaos_grid3_cancellable(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    fractions: &[f64],
-    rates: &[f64],
-    site_rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ChaosGrid3Cell),
-    cancel: Option<CancelCheck<'_>>,
+    ctx: SweepCtx<'_, ChaosGrid3Cell>,
 ) -> Result<ChaosGrid3, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let triples: Vec<(f64, f64, f64)> = fractions
-        .iter()
-        .flat_map(|&f| {
-            rates
-                .iter()
-                .flat_map(move |&r| site_rates.iter().map(move |&s| (f, r, s)))
-        })
-        .collect();
-    let plan_for = |f: f64, r: f64, s: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bank_failures(f)
-            .with_dram_faults(r)
-            .with_weight_faults(s, Protection::Parity)
-            .with_pe_faults(s, Protection::Parity);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = triples
-        .iter()
-        .map(|&(f, r, s)| chaos_cell_key("chaos-grid3-cell", net, &fp, &config, &plan_for(f, r, s)))
-        .collect();
-    let cells = cached_cells_cancellable(
-        cache,
-        &triples,
-        &keys,
-        |_| net.total_macs(),
-        |&(f, r, s)| {
-            let options = SimOptions::with_faults(plan_for(f, r, s));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ChaosGrid3Cell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    site_fault_rate: s,
-                    completed: true,
-                    error: None,
-                    fm_bytes: run.stats.fm_traffic_bytes(),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_cycles: run.stats.total_cycles,
-                },
-                Err(e) => ChaosGrid3Cell {
-                    bank_fail_fraction: f,
-                    dram_fault_rate: r,
-                    site_fault_rate: s,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    fm_bytes: 0,
-                    total_bytes: 0,
-                    retry_bytes: 0,
-                    total_cycles: 0,
-                },
-            }
+    let cells = chaos_cells(
+        "chaos-grid3-cell",
+        net,
+        config,
+        &cross(&cross(fractions, rates), site_rates),
+        |&((f, r), s)| {
+            let plan = FaultPlan::new(seed)
+                .with_bank_failures(f)
+                .with_dram_faults(r)
+                .with_weight_faults(s, Protection::Parity)
+                .with_pe_faults(s, Protection::Parity);
+            with_budget(plan, retry_budget)
         },
-        on_cell,
-        cancel,
+        |&((f, r), s), run| match run {
+            Ok(stats) => ChaosGrid3Cell {
+                bank_fail_fraction: f,
+                dram_fault_rate: r,
+                site_fault_rate: s,
+                completed: true,
+                error: None,
+                fm_bytes: stats.fm_traffic_bytes(),
+                total_bytes: stats.total_traffic_bytes(),
+                retry_bytes: stats.ledger.class_bytes(TrafficClass::Retry),
+                total_cycles: stats.total_cycles,
+            },
+            Err(e) => ChaosGrid3Cell {
+                bank_fail_fraction: f,
+                dram_fault_rate: r,
+                site_fault_rate: s,
+                error: Some(e),
+                ..ChaosGrid3Cell::default()
+            },
+        },
+        ctx,
     )?;
     Ok(ChaosGrid3 {
         network: net.name().to_string(),
@@ -793,7 +632,7 @@ pub const CONTROL_PATH_DOUBLE_RATE: f64 = 0.4;
 /// … and 10% triple-plus strikes (silently aliasing past SECDED).
 pub const CONTROL_PATH_TRIPLE_RATE: f64 = 0.1;
 
-/// The recovery-policy ladder compared by [`control_path_sweep`].
+/// The recovery-policy ladder compared by [`control_path`].
 pub const CONTROL_PATH_POLICIES: [RecoveryPolicy; 3] = [
     RecoveryPolicy::Abort,
     RecoveryPolicy::RefetchTile,
@@ -802,7 +641,7 @@ pub const CONTROL_PATH_POLICIES: [RecoveryPolicy; 3] = [
 
 /// One point of the control-path degradation study: one checked run at a
 /// (recovery policy, BCU strike rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControlPathPoint {
     /// Recovery policy the run's fault plan used.
     pub policy: RecoveryPolicy,
@@ -911,31 +750,67 @@ impl ControlPathStudy {
 /// residency: its recovery traffic is bounded by what the layer streamed
 /// from DRAM anyway, while `RefetchTile` conservatively re-DMAs every
 /// operand. `retry_budget` overrides the [`FaultPlan`] default when `Some`.
-pub fn control_path_sweep(
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+pub fn control_path(
     net: &Network,
     config: AccelConfig,
     seed: u64,
     policies: &[RecoveryPolicy],
     rates: &[f64],
     retry_budget: Option<u32>,
-) -> ControlPathStudy {
-    control_path_sweep_cached(
+    ctx: SweepCtx<'_, ControlPathPoint>,
+) -> Result<ControlPathStudy, Cancelled> {
+    let points = chaos_cells(
+        "control-path-point",
         net,
         config,
+        &cross(policies, rates),
+        |&(policy, rate)| {
+            let plan = FaultPlan::new(seed)
+                .with_bcu_faults(rate, Protection::Ecc)
+                .with_multi_bit(CONTROL_PATH_DOUBLE_RATE, CONTROL_PATH_TRIPLE_RATE)
+                .with_recovery(policy);
+            with_budget(plan, retry_budget)
+        },
+        |&(policy, rate), run| match run {
+            Ok(s) => ControlPathPoint {
+                policy,
+                bcu_fault_rate: rate,
+                completed: true,
+                error: None,
+                bcu_faults: s.faults.bcu_faults,
+                due_events: s.faults.due_events,
+                recovered_refetch: s.faults.recovered_refetch,
+                recovered_recompute: s.faults.recovered_recompute,
+                silent_faults: s.faults.silent_faults,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_bytes: s.total_traffic_bytes(),
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(e) => ControlPathPoint {
+                policy,
+                bcu_fault_rate: rate,
+                error: Some(e),
+                ..ControlPathPoint::default()
+            },
+        },
+        ctx,
+    )?;
+    Ok(ControlPathStudy {
+        network: net.name().to_string(),
         seed,
-        policies,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
+        policies: policies.to_vec(),
+        rates: rates.to_vec(),
+        points,
+    })
 }
 
-/// [`control_path_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in
-/// row-major order as it resolves; the study is byte-identical to the
-/// uncached sweep at any thread count.
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`control_path`].
 #[allow(clippy::too_many_arguments)]
 pub fn control_path_sweep_cached(
     net: &Network,
@@ -947,110 +822,20 @@ pub fn control_path_sweep_cached(
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ControlPathPoint),
 ) -> ControlPathStudy {
-    control_path_sweep_cancellable(
+    control_path(
         net,
         config,
         seed,
         policies,
         rates,
         retry_budget,
-        cache,
-        on_cell,
-        None,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
     )
     .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`control_path_sweep_cached`] with a cooperative cancel check
-/// (deadlines, dead clients): consulted before dispatch and before each
-/// computed point.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn control_path_sweep_cancellable(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ControlPathPoint),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<ControlPathStudy, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(RecoveryPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    let plan_for = |policy: RecoveryPolicy, rate: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_bcu_faults(rate, Protection::Ecc)
-            .with_multi_bit(CONTROL_PATH_DOUBLE_RATE, CONTROL_PATH_TRIPLE_RATE)
-            .with_recovery(policy);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(p, r)| chaos_cell_key("control-path-point", net, &fp, &config, &plan_for(p, r)))
-        .collect();
-    let points = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
-        |&(policy, rate)| {
-            let options = SimOptions::with_faults(plan_for(policy, rate));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => ControlPathPoint {
-                    policy,
-                    bcu_fault_rate: rate,
-                    completed: true,
-                    error: None,
-                    bcu_faults: run.stats.faults.bcu_faults,
-                    due_events: run.stats.faults.due_events,
-                    recovered_refetch: run.stats.faults.recovered_refetch,
-                    recovered_recompute: run.stats.faults.recovered_recompute,
-                    silent_faults: run.stats.faults.silent_faults,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => ControlPathPoint {
-                    policy,
-                    bcu_fault_rate: rate,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    bcu_faults: 0,
-                    due_events: 0,
-                    recovered_refetch: 0,
-                    recovered_recompute: 0,
-                    silent_faults: 0,
-                    retry_bytes: 0,
-                    total_bytes: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
-        },
-        on_cell,
-        cancel,
-    )?;
-    Ok(ControlPathStudy {
-        network: net.name().to_string(),
-        seed,
-        policies: policies.to_vec(),
-        rates: rates.to_vec(),
-        points,
-    })
 }
 
 /// Default scheduler-state strike rates of the scheduler sweep (`smctl
@@ -1064,7 +849,7 @@ pub const SCHEDULER_DOUBLE_RATE: f64 = 0.4;
 /// … and 10% triple-plus strikes (silently aliasing past SECDED).
 pub const SCHEDULER_TRIPLE_RATE: f64 = 0.1;
 
-/// The full recovery-tier ladder compared by [`scheduler_sweep`],
+/// The full recovery-tier ladder compared by [`scheduler`],
 /// including the checkpoint/rollback rung.
 pub const SCHEDULER_POLICIES: [RecoveryPolicy; 4] = [
     RecoveryPolicy::Abort,
@@ -1075,7 +860,7 @@ pub const SCHEDULER_POLICIES: [RecoveryPolicy; 4] = [
 
 /// One point of the scheduler-state degradation study: one checked run at
 /// a (recovery policy, scheduler strike rate) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerPoint {
     /// Recovery policy the run's fault plan used.
     pub policy: RecoveryPolicy,
@@ -1196,31 +981,68 @@ impl SchedulerStudy {
 /// `Checkpoint` restores the last consistent metadata snapshot and pays
 /// only for the operands it could not keep resident. `retry_budget`
 /// overrides the [`FaultPlan`] default when `Some`.
-pub fn scheduler_sweep(
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+pub fn scheduler(
     net: &Network,
     config: AccelConfig,
     seed: u64,
     policies: &[RecoveryPolicy],
     rates: &[f64],
     retry_budget: Option<u32>,
-) -> SchedulerStudy {
-    scheduler_sweep_cached(
+    ctx: SweepCtx<'_, SchedulerPoint>,
+) -> Result<SchedulerStudy, Cancelled> {
+    let points = chaos_cells(
+        "scheduler-point",
         net,
         config,
+        &cross(policies, rates),
+        |&(policy, rate)| {
+            let plan = FaultPlan::new(seed)
+                .with_scheduler_faults(rate, Protection::Ecc)
+                .with_multi_bit(SCHEDULER_DOUBLE_RATE, SCHEDULER_TRIPLE_RATE)
+                .with_recovery(policy);
+            with_budget(plan, retry_budget)
+        },
+        |&(policy, rate), run| match run {
+            Ok(s) => SchedulerPoint {
+                policy,
+                scheduler_fault_rate: rate,
+                completed: true,
+                error: None,
+                scheduler_faults: s.faults.scheduler_faults,
+                due_events: s.faults.due_events,
+                recovered_refetch: s.faults.recovered_refetch,
+                recovered_recompute: s.faults.recovered_recompute,
+                recovered_rollback: s.faults.recovered_rollback,
+                silent_faults: s.faults.silent_faults,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                total_bytes: s.total_traffic_bytes(),
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(e) => SchedulerPoint {
+                policy,
+                scheduler_fault_rate: rate,
+                error: Some(e),
+                ..SchedulerPoint::default()
+            },
+        },
+        ctx,
+    )?;
+    Ok(SchedulerStudy {
+        network: net.name().to_string(),
         seed,
-        policies,
-        rates,
-        retry_budget,
-        None,
-        |_, _, _| {},
-    )
+        policies: policies.to_vec(),
+        rates: rates.to_vec(),
+        points,
+    })
 }
 
-/// [`scheduler_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in
-/// row-major order as it resolves; the study is byte-identical to the
-/// uncached sweep at any thread count.
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`scheduler`].
 #[allow(clippy::too_many_arguments)]
 pub fn scheduler_sweep_cached(
     net: &Network,
@@ -1232,119 +1054,27 @@ pub fn scheduler_sweep_cached(
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &SchedulerPoint),
 ) -> SchedulerStudy {
-    scheduler_sweep_cancellable(
+    scheduler(
         net,
         config,
         seed,
         policies,
         rates,
         retry_budget,
-        cache,
-        on_cell,
-        None,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
     )
     .expect("a sweep without a cancel source cannot be cancelled")
 }
 
-/// [`scheduler_sweep_cached`] with a cooperative cancel check (deadlines,
-/// dead clients): consulted before dispatch and before each computed
-/// point.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn scheduler_sweep_cancellable(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    policies: &[RecoveryPolicy],
-    rates: &[f64],
-    retry_budget: Option<u32>,
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &SchedulerPoint),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<SchedulerStudy, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let pairs: Vec<(RecoveryPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    let plan_for = |policy: RecoveryPolicy, rate: f64| {
-        let mut plan = FaultPlan::new(seed)
-            .with_scheduler_faults(rate, Protection::Ecc)
-            .with_multi_bit(SCHEDULER_DOUBLE_RATE, SCHEDULER_TRIPLE_RATE)
-            .with_recovery(policy);
-        if let Some(budget) = retry_budget {
-            let stall = plan.retry_stall_cycles;
-            plan = plan.with_retry_budget(budget, stall);
-        }
-        plan
-    };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = pairs
-        .iter()
-        .map(|&(p, r)| chaos_cell_key("scheduler-point", net, &fp, &config, &plan_for(p, r)))
-        .collect();
-    let points = cached_cells_cancellable(
-        cache,
-        &pairs,
-        &keys,
-        |_| net.total_macs(),
-        |&(policy, rate)| {
-            let options = SimOptions::with_faults(plan_for(policy, rate));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => SchedulerPoint {
-                    policy,
-                    scheduler_fault_rate: rate,
-                    completed: true,
-                    error: None,
-                    scheduler_faults: run.stats.faults.scheduler_faults,
-                    due_events: run.stats.faults.due_events,
-                    recovered_refetch: run.stats.faults.recovered_refetch,
-                    recovered_recompute: run.stats.faults.recovered_recompute,
-                    recovered_rollback: run.stats.faults.recovered_rollback,
-                    silent_faults: run.stats.faults.silent_faults,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    total_bytes: run.stats.total_traffic_bytes(),
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => SchedulerPoint {
-                    policy,
-                    scheduler_fault_rate: rate,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    scheduler_faults: 0,
-                    due_events: 0,
-                    recovered_refetch: 0,
-                    recovered_recompute: 0,
-                    recovered_rollback: 0,
-                    silent_faults: 0,
-                    retry_bytes: 0,
-                    total_bytes: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
-        },
-        on_cell,
-        cancel,
-    )?;
-    Ok(SchedulerStudy {
-        network: net.name().to_string(),
-        seed,
-        policies: policies.to_vec(),
-        rates: rates.to_vec(),
-        points,
-    })
-}
-
-/// The default retry budgets swept by [`retry_budget_sweep`].
+/// The default retry budgets swept by [`retry_budget`].
 pub const DEFAULT_RETRY_BUDGETS: [u32; 5] = [0, 1, 2, 4, 8];
 
 /// One point of the retry-budget sensitivity study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RetryBudgetPoint {
     /// Max re-attempts per failed DRAM transfer.
     pub max_retries: u32,
@@ -1417,112 +1147,45 @@ impl RetryBudgetStudy {
 /// Sweeps the DRAM retry budget on one network at a fixed fault rate
 /// (ROADMAP: retry-budget sensitivity). Each budget is an independent
 /// checked run, fanned out over [`sm_core::parallel`] in sweep order.
-pub fn retry_budget_sweep(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    dram_fault_rate: f64,
-    budgets: &[u32],
-) -> RetryBudgetStudy {
-    retry_budget_sweep_cached(
-        net,
-        config,
-        seed,
-        dram_fault_rate,
-        budgets,
-        None,
-        |_, _, _| {},
-    )
-}
-
-/// [`retry_budget_sweep`] with per-point result-cache consultation: points
-/// already in `cache` are read back and only the missing points are
-/// dispatched (delta simulation). `on_cell` streams every point in sweep
-/// order as it resolves; the study is byte-identical to the uncached sweep
-/// at any thread count.
-pub fn retry_budget_sweep_cached(
-    net: &Network,
-    config: AccelConfig,
-    seed: u64,
-    dram_fault_rate: f64,
-    budgets: &[u32],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
-) -> RetryBudgetStudy {
-    retry_budget_sweep_cancellable(
-        net,
-        config,
-        seed,
-        dram_fault_rate,
-        budgets,
-        cache,
-        on_cell,
-        None,
-    )
-    .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`retry_budget_sweep_cached`] with a cooperative cancel check
-/// (deadlines, dead clients): consulted before dispatch and before each
-/// computed point.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-#[allow(clippy::too_many_arguments)]
-pub fn retry_budget_sweep_cancellable(
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+pub fn retry_budget(
     net: &Network,
     config: AccelConfig,
     seed: u64,
     dram_fault_rate: f64,
     budgets: &[u32],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
-    cancel: Option<CancelCheck<'_>>,
+    ctx: SweepCtx<'_, RetryBudgetPoint>,
 ) -> Result<RetryBudgetStudy, Cancelled> {
-    let exp = sm_core::Experiment::new(config);
-    let plan_for = |budget: u32| {
-        let base = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
-        let stall = base.retry_stall_cycles;
-        base.with_retry_budget(budget, stall)
-    };
-    let fp = net_fingerprint(net);
-    let keys: Vec<CacheKey> = budgets
-        .iter()
-        .map(|&b| chaos_cell_key("retry-budget-point", net, &fp, &config, &plan_for(b)))
-        .collect();
-    let points = cached_cells_cancellable(
-        cache,
+    let points = chaos_cells(
+        "retry-budget-point",
+        net,
+        config,
         budgets,
-        &keys,
-        |_| net.total_macs(),
         |&budget| {
-            let options = SimOptions::with_faults(plan_for(budget));
-            match exp.run_checked(net, Policy::shortcut_mining(), &options) {
-                Ok(run) => RetryBudgetPoint {
-                    max_retries: budget,
-                    completed: true,
-                    error: None,
-                    dram_retries: run.stats.faults.dram_retries,
-                    retry_bytes: run.stats.ledger.class_bytes(TrafficClass::Retry),
-                    retry_stall_cycles: run.stats.faults.retry_stall_cycles,
-                    total_cycles: run.stats.total_cycles,
-                    throughput_gops: run.stats.throughput_gops(),
-                },
-                Err(e) => RetryBudgetPoint {
-                    max_retries: budget,
-                    completed: false,
-                    error: Some(e.to_string()),
-                    dram_retries: 0,
-                    retry_bytes: 0,
-                    retry_stall_cycles: 0,
-                    total_cycles: 0,
-                    throughput_gops: 0.0,
-                },
-            }
+            let plan = FaultPlan::new(seed).with_dram_faults(dram_fault_rate);
+            with_budget(plan, Some(budget))
         },
-        on_cell,
-        cancel,
+        |&max_retries, run| match run {
+            Ok(s) => RetryBudgetPoint {
+                max_retries,
+                completed: true,
+                error: None,
+                dram_retries: s.faults.dram_retries,
+                retry_bytes: s.ledger.class_bytes(TrafficClass::Retry),
+                retry_stall_cycles: s.faults.retry_stall_cycles,
+                total_cycles: s.total_cycles,
+                throughput_gops: s.throughput_gops(),
+            },
+            Err(e) => RetryBudgetPoint {
+                max_retries,
+                error: Some(e),
+                ..RetryBudgetPoint::default()
+            },
+        },
+        ctx,
     )?;
     Ok(RetryBudgetStudy {
         network: net.name().to_string(),
@@ -1532,15 +1195,74 @@ pub fn retry_budget_sweep_cancellable(
     })
 }
 
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`retry_budget`].
+pub fn retry_budget_sweep(
+    net: &Network,
+    config: AccelConfig,
+    seed: u64,
+    dram_fault_rate: f64,
+    budgets: &[u32],
+) -> RetryBudgetStudy {
+    retry_budget(
+        net,
+        config,
+        seed,
+        dram_fault_rate,
+        budgets,
+        SweepCtx::default(),
+    )
+    .expect("a sweep without a cancel source cannot be cancelled")
+}
+
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`retry_budget`].
+pub fn retry_budget_sweep_cached(
+    net: &Network,
+    config: AccelConfig,
+    seed: u64,
+    dram_fault_rate: f64,
+    budgets: &[u32],
+    cache: Option<&CacheSession<'_>>,
+    on_cell: impl FnMut(usize, bool, &RetryBudgetPoint),
+) -> RetryBudgetStudy {
+    retry_budget(
+        net,
+        config,
+        seed,
+        dram_fault_rate,
+        budgets,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
+    )
+    .expect("a sweep without a cancel source cannot be cancelled")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sm_model::zoo;
 
+    fn plain<U>() -> SweepCtx<'static, U> {
+        SweepCtx::default()
+    }
+
     #[test]
     fn curve_degrades_monotonically_in_traffic() {
         let net = zoo::resnet_tiny(2, 1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 9, &DEFAULT_FRACTIONS, 0.0);
+        let curve = chaos_curve(
+            &net,
+            AccelConfig::default(),
+            9,
+            &DEFAULT_FRACTIONS,
+            0.0,
+            None,
+            plain(),
+        )
+        .unwrap();
         assert_eq!(curve.points.len(), DEFAULT_FRACTIONS.len());
         let base = &curve.points[0];
         assert!(base.completed && base.banks_failed == 0 && base.retry_bytes == 0);
@@ -1561,7 +1283,16 @@ mod tests {
     #[test]
     fn dram_faults_show_up_as_retry_traffic() {
         let net = zoo::toy_residual(1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 3, &[0.0, 0.0], 0.4);
+        let curve = chaos_curve(
+            &net,
+            AccelConfig::default(),
+            3,
+            &[0.0, 0.0],
+            0.4,
+            None,
+            plain(),
+        )
+        .unwrap();
         // Same plan seed at both points: identical outcomes.
         assert_eq!(curve.points[0], curve.points[1]);
         let p = &curve.points[0];
@@ -1572,7 +1303,7 @@ mod tests {
     #[test]
     fn tight_retry_budget_aborts_and_larger_budget_recovers() {
         let net = zoo::toy_residual(1);
-        let study = retry_budget_sweep(&net, AccelConfig::default(), 3, 0.4, &[0, 8]);
+        let study = retry_budget(&net, AccelConfig::default(), 3, 0.4, &[0, 8], plain()).unwrap();
         assert_eq!(study.points.len(), 2);
         let (tight, roomy) = (&study.points[0], &study.points[1]);
         // Budget 0 at rate 0.4 exhausts immediately; budget 8 survives and
@@ -1586,8 +1317,16 @@ mod tests {
     #[test]
     fn explicit_budget_flows_into_the_curve() {
         let net = zoo::toy_residual(1);
-        let curve =
-            chaos_degradation_with_budget(&net, AccelConfig::default(), 3, &[0.0], 0.4, Some(9));
+        let curve = chaos_curve(
+            &net,
+            AccelConfig::default(),
+            3,
+            &[0.0],
+            0.4,
+            Some(9),
+            plain(),
+        );
+        let curve = curve.unwrap();
         assert_eq!(curve.max_retries, 9);
         assert!(curve.points[0].completed, "{:?}", curve.points[0].error);
     }
@@ -1602,7 +1341,9 @@ mod tests {
             &[0.0, 0.3],
             &[0.0, 0.4],
             Some(16),
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(grid.cells.len(), 4);
         let anchor = grid.cell(0, 0);
         assert!(anchor.completed, "{:?}", anchor.error);
@@ -1631,7 +1372,9 @@ mod tests {
             &DEFAULT_GRID_FRACTIONS,
             &DEFAULT_GRID_RATES,
             Some(8),
-        );
+            plain(),
+        )
+        .unwrap();
         let b = chaos_grid(
             &net,
             AccelConfig::default(),
@@ -1639,7 +1382,9 @@ mod tests {
             &DEFAULT_GRID_FRACTIONS,
             &DEFAULT_GRID_RATES,
             Some(8),
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -1654,7 +1399,9 @@ mod tests {
             &[0.0],
             &[0.0, 1.0],
             Some(16),
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(g.cells.len(), 4);
         let anchor = g.cell(0, 0, 0);
         assert!(anchor.completed, "{:?}", anchor.error);
@@ -1677,21 +1424,25 @@ mod tests {
             &[0.0],
             &[0.0, 1.0],
             Some(16),
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(g, again);
     }
 
     #[test]
     fn control_path_policies_diverge_under_bcu_strikes() {
         let net = zoo::resnet_tiny(2, 1);
-        let study = control_path_sweep(
+        let study = control_path(
             &net,
             AccelConfig::default(),
             11,
             &CONTROL_PATH_POLICIES,
             &[0.0, 1.0],
             None,
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(study.points.len(), 6);
         // Fault-free anchor completes under every policy with zero strikes.
         for pi in 0..CONTROL_PATH_POLICIES.len() {
@@ -1737,14 +1488,16 @@ mod tests {
     #[test]
     fn scheduler_tiers_diverge_and_checkpoint_beats_recompute() {
         let net = zoo::resnet_tiny(2, 1);
-        let study = scheduler_sweep(
+        let study = scheduler(
             &net,
             AccelConfig::default(),
             13,
             &SCHEDULER_POLICIES,
             &[0.0, 1.0],
             None,
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(study.points.len(), 8);
         // Fault-free anchor completes under every tier with zero strikes
         // and zero retry traffic — the checkpoint plumbing is free.
@@ -1805,29 +1558,42 @@ mod tests {
     #[test]
     fn scheduler_sweep_is_deterministic_for_a_fixed_seed() {
         let net = zoo::toy_residual(1);
-        let a = scheduler_sweep(
+        let a = scheduler(
             &net,
             AccelConfig::default(),
             7,
             &SCHEDULER_POLICIES,
             &DEFAULT_SCHEDULER_RATES,
             Some(8),
-        );
-        let b = scheduler_sweep(
+            plain(),
+        )
+        .unwrap();
+        let b = scheduler(
             &net,
             AccelConfig::default(),
             7,
             &SCHEDULER_POLICIES,
             &DEFAULT_SCHEDULER_RATES,
             Some(8),
-        );
+            plain(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn table_renders_every_point() {
         let net = zoo::toy_residual(1);
-        let curve = chaos_degradation(&net, AccelConfig::default(), 1, &[0.0, 0.5], 0.1);
+        let curve = chaos_curve(
+            &net,
+            AccelConfig::default(),
+            1,
+            &[0.0, 0.5],
+            0.1,
+            None,
+            plain(),
+        )
+        .unwrap();
         let t = curve.table();
         assert_eq!(t.len(), 2);
         assert!(t.render().contains("chaos degradation"));

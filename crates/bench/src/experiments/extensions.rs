@@ -555,6 +555,24 @@ mod tests {
     }
 
     #[test]
+    fn googlenet_tables_repeat_within_one_process() {
+        // GoogLeNet's inception branches tie on next use when they compete
+        // for spill; the victim must not depend on hash-map order.
+        let cfg = AccelConfig::default();
+        let render = || {
+            [
+                ext_new_workloads(cfg, 1).table.render(),
+                ext_capacity_requirements(cfg, 1).render(),
+                ext_share_vs_benefit(cfg, 1).table.render(),
+            ]
+        };
+        let first = render();
+        for _ in 0..4 {
+            assert_eq!(render(), first);
+        }
+    }
+
+    #[test]
     fn speedup_decays_as_bandwidth_grows() {
         let r = ext_bandwidth_sweep(AccelConfig::default(), 1);
         let series: Vec<f64> = r

@@ -10,14 +10,12 @@
 use serde::{Deserialize, Serialize};
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::par_map_weighted_auto;
+use sm_core::parallel::{par_map_weighted, threads, Cancelled};
 use sm_core::{Experiment, Policy};
 use sm_mem::TrafficClass;
 use sm_model::{zoo, Network};
 
-use sm_core::parallel::{CancelCheck, Cancelled};
-
-use crate::cas::{cached_cells_cancellable, cell_key, content_fingerprint, CacheKey, CacheSession};
+use crate::cas::{cached_cells, cell_key, content_fingerprint, CacheSession, SweepCtx};
 use crate::paper;
 use crate::report::{geomean, mb, pct, Table};
 
@@ -50,6 +48,9 @@ pub struct ComparisonCell {
 /// Everything a [`ComparisonCell`] is a function of: the network (by
 /// content fingerprint) and the accelerator config. The baseline vs
 /// shortcut-mining policy pair is fixed and encoded in the key's kind tag.
+/// Fig. 10/13/14/15 and the service share these keys, so e.g. a full report
+/// warms the cells once and every later figure (or service request) over
+/// the same (network, config) hits.
 #[derive(Serialize)]
 struct CompareKeyInputs {
     network: String,
@@ -57,76 +58,75 @@ struct CompareKeyInputs {
     config: AccelConfig,
 }
 
-/// Per-cell cache key of a comparison sweep. Shared by Fig. 10/13/14/15,
-/// so e.g. a full report warms the cells once and every later figure (or
-/// service request) over the same (network, config) hits.
-pub(crate) fn compare_cell_key(net: &Network, config: &AccelConfig) -> CacheKey {
-    cell_key(
-        "compare-cell",
-        &CompareKeyInputs {
+/// Baseline-vs-mined comparison cells over every (config, network) pair,
+/// config-major: the sweep behind Fig. 10/13 (one config), Fig. 14 (one
+/// config per capacity) and Fig. 15 (one network per batch), and behind the
+/// `compare` and `capacity-sweep` service kinds. Cost-aware dispatch by MAC
+/// count; order preserved.
+///
+/// # Errors
+///
+/// Returns [`Cancelled`] when `ctx.cancel` fired before the sweep completed.
+pub fn compare(
+    configs: &[AccelConfig],
+    nets: &[Network],
+    ctx: SweepCtx<'_, ComparisonCell>,
+) -> Result<Vec<ComparisonCell>, Cancelled> {
+    let cells: Vec<(AccelConfig, usize)> = configs
+        .iter()
+        .flat_map(|&c| (0..nets.len()).map(move |i| (c, i)))
+        .collect();
+    // One content fingerprint per network, shared by its cells' keys.
+    let keys = || {
+        let fps: Vec<String> = nets
+            .iter()
+            .map(|n| content_fingerprint(n).expect("networks serialize"))
+            .collect();
+        let key = |&(config, i): &(AccelConfig, usize)| CompareKeyInputs {
+            network: nets[i].name().to_string(),
+            net_fingerprint: fps[i].clone(),
+            config,
+        };
+        cells
+            .iter()
+            .map(|c| cell_key("compare-cell", &key(c)).expect("compare cell inputs serialize"))
+            .collect()
+    };
+    let eval = |&(config, i): &(AccelConfig, usize)| {
+        let (net, cmp) = (&nets[i], Experiment::new(config).compare(&nets[i]));
+        ComparisonCell {
             network: net.name().to_string(),
-            net_fingerprint: content_fingerprint(net).expect("networks serialize"),
-            config: *config,
-        },
-    )
-    .expect("compare cell inputs serialize")
+            batch: net.input().out_shape.n as u64,
+            base_fm_bytes: cmp.baseline.fm_traffic_bytes(),
+            mined_fm_bytes: cmp.mined.fm_traffic_bytes(),
+            traffic_reduction: cmp.traffic_reduction(),
+            base_gops: cmp.baseline.throughput_gops(),
+            mined_gops: cmp.mined.throughput_gops(),
+            speedup: cmp.speedup(),
+            mined_images_per_second: cmp.mined.images_per_second(),
+        }
+    };
+    cached_cells(ctx, &cells, keys, |&(_, i)| nets[i].total_macs(), eval)
 }
 
-/// Runs the baseline-vs-mined comparison and captures the primitives.
-pub(crate) fn run_compare_cell(exp: &Experiment, net: &Network) -> ComparisonCell {
-    let cmp = exp.compare(net);
-    ComparisonCell {
-        network: net.name().to_string(),
-        batch: net.input().out_shape.n as u64,
-        base_fm_bytes: cmp.baseline.fm_traffic_bytes(),
-        mined_fm_bytes: cmp.mined.fm_traffic_bytes(),
-        traffic_reduction: cmp.traffic_reduction(),
-        base_gops: cmp.baseline.throughput_gops(),
-        mined_gops: cmp.mined.throughput_gops(),
-        speedup: cmp.speedup(),
-        mined_images_per_second: cmp.mined.images_per_second(),
-    }
-}
-
-/// Baseline-vs-mined comparison cells for a set of networks under one
-/// config, with per-cell result-cache consultation: cells already in
-/// `cache` are read back and only the missing networks are simulated.
-/// Cost-aware dispatch by MAC count; order preserved; `on_cell` streams
-/// each cell as it resolves in input order.
+/// Kept with this signature for the `perfbench` harness, which calls it;
+/// everything else calls [`compare`].
 pub fn compare_cells(
     config: AccelConfig,
     nets: &[Network],
     cache: Option<&CacheSession<'_>>,
     on_cell: impl FnMut(usize, bool, &ComparisonCell),
 ) -> Vec<ComparisonCell> {
-    compare_cells_cancellable(config, nets, cache, on_cell, None)
-        .expect("a sweep without a cancel source cannot be cancelled")
-}
-
-/// [`compare_cells`] with a cooperative cancel check (deadlines, dead
-/// clients): consulted before dispatch and before each computed cell.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the check fired before the sweep completed.
-pub fn compare_cells_cancellable(
-    config: AccelConfig,
-    nets: &[Network],
-    cache: Option<&CacheSession<'_>>,
-    on_cell: impl FnMut(usize, bool, &ComparisonCell),
-    cancel: Option<CancelCheck<'_>>,
-) -> Result<Vec<ComparisonCell>, Cancelled> {
-    let exp = Experiment::new(config);
-    let keys: Vec<CacheKey> = nets.iter().map(|n| compare_cell_key(n, &config)).collect();
-    cached_cells_cancellable(
-        cache,
+    compare(
+        &[config],
         nets,
-        &keys,
-        |net| net.total_macs(),
-        |net| run_compare_cell(&exp, net),
-        on_cell,
-        cancel,
+        SweepCtx {
+            cache,
+            cancel: None,
+            on_cell: Box::new(on_cell),
+        },
     )
+    .expect("a sweep without a cancel source cannot be cancelled")
 }
 
 /// Fig. 10 data: feature-map traffic, baseline vs Shortcut Mining.
@@ -140,17 +140,6 @@ pub struct TrafficResult {
 
 /// Regenerates the headline traffic figure on the evaluated networks.
 pub fn fig10_traffic_reduction(config: AccelConfig, batch: usize) -> TrafficResult {
-    fig10_traffic_reduction_cached(config, batch, None)
-}
-
-/// [`fig10_traffic_reduction`] with per-network result-cache consultation:
-/// only networks missing from `cache` are simulated (delta simulation);
-/// output is byte-identical to the uncached figure.
-pub fn fig10_traffic_reduction_cached(
-    config: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> TrafficResult {
     let mut table = Table::new(
         "Fig 10 - off-chip feature-map traffic (baseline vs shortcut mining)",
         &[
@@ -162,7 +151,8 @@ pub fn fig10_traffic_reduction_cached(
         ],
     );
     let nets = zoo::evaluated_networks(batch);
-    let rows: Vec<(String, u64, u64, f64)> = compare_cells(config, &nets, cache, |_, _, _| {})
+    let rows: Vec<(String, u64, u64, f64)> = compare(&[config], &nets, SweepCtx::default())
+        .expect("a sweep without a cancel source cannot be cancelled")
         .into_iter()
         .map(|c| {
             (
@@ -223,8 +213,9 @@ pub fn fig11_traffic_breakdown(config: AccelConfig, batch: usize) -> BreakdownRe
                 .map(move |p| (i, p))
         })
         .collect();
-    let runs = par_map_weighted_auto(
+    let runs = par_map_weighted(
         &points,
+        threads(),
         |(i, _)| nets[*i].total_macs(),
         |(i, policy)| {
             let stats = exp.run(&nets[*i], *policy);
@@ -260,19 +251,6 @@ pub struct ThroughputResult {
 
 /// Regenerates the throughput figure.
 pub fn fig13_throughput(config: AccelConfig, batch: usize) -> ThroughputResult {
-    fig13_throughput_cached(config, batch, None)
-}
-
-/// [`fig13_throughput`] with per-network result-cache consultation: only
-/// networks missing from `cache` are simulated (delta simulation); output
-/// is byte-identical to the uncached figure. Cells are shared with
-/// [`fig10_traffic_reduction_cached`], so a report regenerating both
-/// figures simulates each network once.
-pub fn fig13_throughput_cached(
-    config: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> ThroughputResult {
     let mut table = Table::new(
         "Fig 13 - throughput (baseline vs shortcut mining)",
         &[
@@ -284,19 +262,19 @@ pub fn fig13_throughput_cached(
         ],
     );
     let nets = zoo::evaluated_networks(batch);
-    let results: Vec<(String, f64, f64, f64, f64)> =
-        compare_cells(config, &nets, cache, |_, _, _| {})
-            .into_iter()
-            .map(|c| {
-                (
-                    c.network,
-                    c.base_gops,
-                    c.mined_gops,
-                    c.speedup,
-                    c.mined_images_per_second,
-                )
-            })
-            .collect();
+    let results: Vec<(String, f64, f64, f64, f64)> = compare(&[config], &nets, SweepCtx::default())
+        .expect("a sweep without a cancel source cannot be cancelled")
+        .into_iter()
+        .map(|c| {
+            (
+                c.network,
+                c.base_gops,
+                c.mined_gops,
+                c.speedup,
+                c.mined_images_per_second,
+            )
+        })
+        .collect();
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for (name, base, mined, speedup, imgs) in results {

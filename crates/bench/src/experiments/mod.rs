@@ -19,11 +19,11 @@
 //! | Ext. 3 | [`ext_capacity_requirements`] | capacity planning bounds |
 //! | Ext. 4 | [`ext_spill_order`] | spill-victim order ablation |
 //! | Ext. 5 | [`ext_datatype`] | 8/16/32-bit datatype sensitivity |
-//! | Ext. 6 | [`chaos_degradation`] | graceful degradation under injected faults |
-//! | Ext. 7 | [`retry_budget_sweep`] | retry-budget sensitivity under DRAM faults |
+//! | Ext. 6 | [`chaos_curve`] | graceful degradation under injected faults |
+//! | Ext. 7 | [`retry_budget`] | retry-budget sensitivity under DRAM faults |
 //! | Ext. 8 | [`chaos_grid`] | 2-D bank-failure × DRAM-fault degradation grid |
-//! | Ext. 14 | [`control_path_sweep`] | BCU-strike recovery-policy ladder |
-//! | Ext. 15 | [`scheduler_sweep`] | scheduler-state strikes vs four recovery tiers |
+//! | Ext. 14 | [`control_path`] | BCU-strike recovery-policy ladder |
+//! | Ext. 15 | [`scheduler`] | scheduler-state strikes vs four recovery tiers |
 
 mod ablation;
 mod chaos;
@@ -37,13 +37,10 @@ mod sensitivity;
 
 pub use ablation::{table3_ablation, AblationResult};
 pub use chaos::{
-    chaos_degradation, chaos_degradation_cancellable, chaos_degradation_with_budget,
-    chaos_degradation_with_budget_cached, chaos_grid, chaos_grid3, chaos_grid3_cached,
-    chaos_grid3_cancellable, chaos_grid_cached, chaos_grid_cancellable, control_path_sweep,
-    control_path_sweep_cached, control_path_sweep_cancellable, retry_budget_sweep,
-    retry_budget_sweep_cached, retry_budget_sweep_cancellable, scheduler_sweep,
-    scheduler_sweep_cached, scheduler_sweep_cancellable, ChaosCurve, ChaosGrid, ChaosGrid3,
-    ChaosGrid3Cell, ChaosGridCell, ChaosPoint, ControlPathPoint, ControlPathStudy,
+    chaos_curve, chaos_degradation_with_budget_cached, chaos_grid, chaos_grid3, chaos_grid_cached,
+    control_path, control_path_sweep_cached, retry_budget, retry_budget_sweep,
+    retry_budget_sweep_cached, scheduler, scheduler_sweep_cached, ChaosCurve, ChaosGrid,
+    ChaosGrid3, ChaosGrid3Cell, ChaosGridCell, ChaosPoint, ControlPathPoint, ControlPathStudy,
     RetryBudgetPoint, RetryBudgetStudy, SchedulerPoint, SchedulerStudy, CONTROL_PATH_DOUBLE_RATE,
     CONTROL_PATH_POLICIES, CONTROL_PATH_TRIPLE_RATE, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
     DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
@@ -56,19 +53,14 @@ pub use extensions::{
     ext_new_workloads, ext_pipeline_validation, ext_share_vs_benefit, ext_spill_order,
     ExtSweepResult,
 };
-pub(crate) use headline::{compare_cell_key, run_compare_cell};
 pub use headline::{
-    compare_cells, compare_cells_cancellable, fig10_traffic_reduction,
-    fig10_traffic_reduction_cached, fig11_traffic_breakdown, fig13_throughput,
-    fig13_throughput_cached, BreakdownResult, ComparisonCell, ThroughputResult, TrafficResult,
+    compare, compare_cells, fig10_traffic_reduction, fig11_traffic_breakdown, fig13_throughput,
+    BreakdownResult, ComparisonCell, ThroughputResult, TrafficResult,
 };
 pub use motivation::{fig2_shortcut_share, table1_networks, table2_config, ShareResult};
 pub use per_block::{fig12_per_block, PerBlockResult};
 pub use retention::{fig17_intermediate_layers, RetentionResult};
-pub use sensitivity::{
-    fig14_capacity_sweep, fig14_capacity_sweep_cached, fig15_batch_sweep, fig15_batch_sweep_cached,
-    SweepResult,
-};
+pub use sensitivity::{fig14_capacity_sweep, fig15_batch_sweep, SweepResult};
 
 /// Every table of the full evaluation at batch 1, in figure order.
 ///
@@ -93,5 +85,5 @@ pub fn all_tables(cfg: sm_accel::AccelConfig) -> Vec<crate::report::Table> {
         Box::new(move || table3_ablation(cfg, 1).table),
         Box::new(move || fig17_intermediate_layers(cfg, 1).table),
     ];
-    sm_core::parallel::par_map_auto(&jobs, |job| job())
+    sm_core::parallel::par_map(&jobs, sm_core::parallel::threads(), |job| job())
 }

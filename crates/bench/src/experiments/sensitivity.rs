@@ -8,11 +8,10 @@
 //! SqueezeNet at batch 1 does — so dispatch is cost-aware by MAC count.
 
 use sm_accel::AccelConfig;
-use sm_core::Experiment;
 use sm_model::zoo;
 
-use super::headline::{compare_cell_key, compare_cells, run_compare_cell};
-use crate::cas::{cached_cells, CacheKey, CacheSession};
+use super::headline::compare;
+use crate::cas::SweepCtx;
 use crate::report::{pct, Table};
 
 /// Sweep result: reduction (and speedup) per (x-value, network).
@@ -25,49 +24,27 @@ pub struct SweepResult {
 }
 
 /// Fig. 14: feature-map traffic reduction as the feature-map SRAM capacity
-/// sweeps from 64 KiB to 4 MiB (default config otherwise).
+/// sweeps from 64 KiB to 4 MiB (default config otherwise). Each
+/// (capacity, network) cell is one [`compare`] cell under the
+/// capacity-adjusted config.
 pub fn fig14_capacity_sweep(base: AccelConfig, batch: usize) -> SweepResult {
-    fig14_capacity_sweep_cached(base, batch, None)
-}
-
-/// [`fig14_capacity_sweep`] with per-cell result-cache consultation: only
-/// (capacity, network) cells missing from `cache` are simulated (delta
-/// simulation); output is byte-identical to the uncached sweep. Each cell
-/// is keyed by the capacity-adjusted config, so cells are shared with any
-/// other comparison at the same (network, config).
-pub fn fig14_capacity_sweep_cached(
-    base: AccelConfig,
-    batch: usize,
-    cache: Option<&CacheSession<'_>>,
-) -> SweepResult {
     let nets = zoo::evaluated_networks(batch);
     let mut table = Table::new(
         "Fig 14 - traffic reduction vs on-chip feature-map capacity",
         &["capacity (KiB)", "network", "reduction", "speedup"],
     );
-    let points: Vec<(u64, usize)> = [64u64, 128, 256, 320, 512, 1024, 2048, 4096]
+    let capacities = [64u64, 128, 256, 320, 512, 1024, 2048, 4096];
+    let configs: Vec<AccelConfig> = capacities
         .iter()
-        .flat_map(|&kib| (0..nets.len()).map(move |i| (kib, i)))
+        .map(|&kib| base.with_fm_capacity(kib * 1024))
         .collect();
-    let keys: Vec<CacheKey> = points
+    let cells = compare(&configs, &nets, SweepCtx::default())
+        .expect("a sweep without a cancel source cannot be cancelled");
+    let rows: Vec<(u64, String, f64, f64)> = capacities
         .iter()
-        .map(|&(kib, i)| compare_cell_key(&nets[i], &base.with_fm_capacity(kib * 1024)))
-        .collect();
-    let cells = cached_cells(
-        cache,
-        &points,
-        &keys,
-        |&(_, i)| nets[i].total_macs(),
-        |&(kib, i)| {
-            let exp = Experiment::new(base.with_fm_capacity(kib * 1024));
-            run_compare_cell(&exp, &nets[i])
-        },
-        |_, _, _| {},
-    );
-    let rows: Vec<(u64, String, f64, f64)> = points
-        .iter()
+        .flat_map(|&kib| std::iter::repeat_n(kib, nets.len()))
         .zip(cells)
-        .map(|(&(kib, _), c)| (kib, c.network, c.traffic_reduction, c.speedup))
+        .map(|(kib, c)| (kib, c.network, c.traffic_reduction, c.speedup))
         .collect();
     for (kib, name, red, sp) in &rows {
         table.row(&[
@@ -81,19 +58,9 @@ pub fn fig14_capacity_sweep_cached(
 }
 
 /// Fig. 15: feature-map traffic reduction as the batch size sweeps 1–8.
+/// The batch size is baked into each network's shapes, so the comparison
+/// cells of different batches differ by network content.
 pub fn fig15_batch_sweep(config: AccelConfig) -> SweepResult {
-    fig15_batch_sweep_cached(config, None)
-}
-
-/// [`fig15_batch_sweep`] with per-cell result-cache consultation: only
-/// (batch, network) cells missing from `cache` are simulated (delta
-/// simulation); output is byte-identical to the uncached sweep. The batch
-/// size is baked into each network's shapes, so the shared comparison-cell
-/// key distinguishes batches through the network content fingerprint.
-pub fn fig15_batch_sweep_cached(
-    config: AccelConfig,
-    cache: Option<&CacheSession<'_>>,
-) -> SweepResult {
     let mut table = Table::new(
         "Fig 15 - traffic reduction vs batch size",
         &["batch", "network", "reduction", "speedup"],
@@ -102,7 +69,8 @@ pub fn fig15_batch_sweep_cached(
         .iter()
         .flat_map(|&batch| zoo::evaluated_networks(batch))
         .collect();
-    let rows: Vec<(u64, String, f64, f64)> = compare_cells(config, &points, cache, |_, _, _| {})
+    let rows: Vec<(u64, String, f64, f64)> = compare(&[config], &points, SweepCtx::default())
+        .expect("a sweep without a cancel source cannot be cancelled")
         .into_iter()
         .map(|c| (c.batch, c.network, c.traffic_reduction, c.speedup))
         .collect();

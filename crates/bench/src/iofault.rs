@@ -30,32 +30,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Deterministic pseudo-random source (SplitMix64) — the same generator
-/// the simulator's fault planes use, reimplemented here because theirs is
-/// deliberately private to `sm_core::fault`.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// 53-bit uniform value in `[0, 1)`; always consumes exactly one draw.
-    fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+use sm_core::SplitMix64;
 
 /// Seedable disk-fault plan: per-operation injection probabilities plus
 /// the stream seed. Rates are clamped to `[0, 1]` at draw time.
@@ -64,7 +39,9 @@ impl SplitMix64 {
 /// which faults fire (reads 3, writes 4, renames and removals 1), so the
 /// fault pattern over an operation sequence is a pure function of the
 /// seed and the sequence — the same discipline [`sm_core::FaultPlan`]
-/// established for the simulator's planes.
+/// established for the simulator's planes. Gates therefore compare
+/// [`SplitMix64::unit`] against the rate rather than calling
+/// [`SplitMix64::chance`], which skips the draw at rates 0 and 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoFaultPlan {
     /// SplitMix64 stream seed.

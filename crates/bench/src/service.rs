@@ -38,16 +38,19 @@
 //! `net_file` requests the `batch` field is ignored — the batch is baked
 //! into the document's input shape.
 //!
+//! Every kind is one sweep function, called with one [`SweepCtx`]: the
+//! request's cache session, its cancel check and a `cell`-event stream.
+//!
 //! | kind | sweep | cell type |
 //! |---|---|---|
-//! | `chaos-curve` | [`chaos_degradation_cancellable`] | `ChaosPoint` |
-//! | `chaos-grid` | [`chaos_grid_cancellable`] | `ChaosGridCell` |
-//! | `chaos-grid3` | [`chaos_grid3_cancellable`] | `ChaosGrid3Cell` |
-//! | `control-path` | [`control_path_sweep_cancellable`] | `ControlPathPoint` |
-//! | `scheduler` | [`scheduler_sweep_cancellable`] | `SchedulerPoint` |
-//! | `retry-budget` | [`retry_budget_sweep_cancellable`] | `RetryBudgetPoint` |
-//! | `compare` | [`compare_cells_cancellable`] | `ComparisonCell` |
-//! | `capacity-sweep` | per-capacity comparison | `ComparisonCell` |
+//! | `chaos-curve` | [`chaos_curve`] | `ChaosPoint` |
+//! | `chaos-grid` | [`chaos_grid`] | `ChaosGridCell` |
+//! | `chaos-grid3` | [`chaos_grid3`] | `ChaosGrid3Cell` |
+//! | `control-path` | [`control_path`] | `ControlPathPoint` |
+//! | `scheduler` | [`scheduler`] | `SchedulerPoint` |
+//! | `retry-budget` | [`retry_budget`] | `RetryBudgetPoint` |
+//! | `compare` | [`compare`] (one config) | `ComparisonCell` |
+//! | `capacity-sweep` | [`compare`] (one config per capacity) | `ComparisonCell` |
 //!
 //! # Concurrency and the deterministic mux
 //!
@@ -94,19 +97,16 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::{threads, CancelCheck, Cancelled};
-use sm_core::Experiment;
+use sm_core::parallel::{threads, Cancelled};
 use sm_model::{graph, zoo, Network};
 
-use crate::cas::{cached_cells_cancellable, CacheKey, ResultCache};
+use crate::cas::{ResultCache, SweepCtx};
 use crate::experiments::{
-    chaos_degradation_cancellable, chaos_grid3_cancellable, chaos_grid_cancellable,
-    compare_cells_cancellable, control_path_sweep_cancellable, retry_budget_sweep_cancellable,
-    scheduler_sweep_cancellable, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES,
-    DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES,
-    DEFAULT_RETRY_BUDGETS, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES,
+    chaos_curve, chaos_grid, chaos_grid3, compare, control_path, retry_budget, scheduler,
+    CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS,
+    DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS, DEFAULT_SCHEDULER_RATES,
+    SCHEDULER_POLICIES,
 };
-use crate::experiments::{compare_cell_key, run_compare_cell};
 use crate::json::{parse_value_document, to_json};
 
 /// Default capacity axis (KiB) for `capacity-sweep` requests — matches the
@@ -420,152 +420,82 @@ fn handle_request(
             return;
         }
     };
-    let config = AccelConfig::default();
     let session = store.session();
     // Master cancel: a dead client or an expired deadline stops the sweep
     // at the next cell boundary.
-    let cancel_fn = move || {
+    let cancel = move || {
         write_failed.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d)
     };
-    let cancel: CancelCheck<'_> = &cancel_fn;
-    // Cell events stream as the frontier advances, each followed by a
-    // health check so store-state transitions surface promptly.
-    macro_rules! on_cell {
+    // Every kind runs under the same context: the request's cache session
+    // and cancel check, and cell events streamed as the frontier advances,
+    // each followed by a health check so store-state transitions surface
+    // promptly.
+    macro_rules! ctx {
         () => {
-            |index, cached, data: &_| {
-                let payload = to_json(data).expect("cell serialization is infallible");
-                let _ = tx.send(format!(
-                    r#"{{"id":{},"event":"cell","index":{index},"cached":{cached},"data":{payload}}}"#,
-                    quoted(&req.id)
-                ));
-                maybe_emit_health(store, tx, last_health, &req.id);
+            SweepCtx {
+                cache: Some(&session),
+                cancel: Some(&cancel),
+                on_cell: Box::new(|index, cached, data: &_| {
+                    let payload = to_json(data).expect("cell serialization is infallible");
+                    let _ = tx.send(format!(
+                        r#"{{"id":{},"event":"cell","index":{index},"cached":{cached},"data":{payload}}}"#,
+                        quoted(&req.id)
+                    ));
+                    maybe_emit_health(store, tx, last_health, &req.id);
+                }),
             }
         };
     }
+    let (cfg, seed, budget) = (AccelConfig::default(), req.seed, req.retry_budget);
+    let fractions = |default: &'static [f64]| req.fractions.as_deref().unwrap_or(default);
+    let rates = |default: &'static [f64]| req.rates.as_deref().unwrap_or(default);
+    let net_only = std::slice::from_ref(&net);
     let result: Result<String, Cancelled> = match req.kind.as_str() {
         "chaos-curve" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_FRACTIONS);
-            chaos_degradation_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                req.dram_rate,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            let fractions = fractions(&DEFAULT_FRACTIONS);
+            chaos_curve(&net, cfg, seed, fractions, req.dram_rate, budget, ctx!()).map(serialize)
         }
         "chaos-grid" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
-            chaos_grid_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            let (f, r) = (
+                fractions(&DEFAULT_GRID_FRACTIONS),
+                rates(&DEFAULT_GRID_RATES),
+            );
+            chaos_grid(&net, cfg, seed, f, r, budget, ctx!()).map(serialize)
         }
         "chaos-grid3" => {
-            let fractions = req.fractions.as_deref().unwrap_or(&DEFAULT_GRID_FRACTIONS);
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_GRID_RATES);
-            let sites = req
+            let (f, r) = (
+                fractions(&DEFAULT_GRID_FRACTIONS),
+                rates(&DEFAULT_GRID_RATES),
+            );
+            let s = req
                 .site_rates
                 .as_deref()
                 .unwrap_or(&DEFAULT_GRID_SITE_RATES);
-            chaos_grid3_cancellable(
-                &net,
-                config,
-                req.seed,
-                fractions,
-                rates,
-                sites,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            chaos_grid3(&net, cfg, seed, f, r, s, budget, ctx!()).map(serialize)
         }
         "control-path" => {
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_CONTROL_PATH_RATES);
-            control_path_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                &CONTROL_PATH_POLICIES,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            let (policies, rates) = (&CONTROL_PATH_POLICIES, rates(&DEFAULT_CONTROL_PATH_RATES));
+            control_path(&net, cfg, seed, policies, rates, budget, ctx!()).map(serialize)
         }
         "scheduler" => {
-            let rates = req.rates.as_deref().unwrap_or(&DEFAULT_SCHEDULER_RATES);
-            scheduler_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                &SCHEDULER_POLICIES,
-                rates,
-                req.retry_budget,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            let (policies, rates) = (&SCHEDULER_POLICIES, rates(&DEFAULT_SCHEDULER_RATES));
+            scheduler(&net, cfg, seed, policies, rates, budget, ctx!()).map(serialize)
         }
         "retry-budget" => {
             let budgets = req.budgets.as_deref().unwrap_or(&DEFAULT_RETRY_BUDGETS);
-            retry_budget_sweep_cancellable(
-                &net,
-                config,
-                req.seed,
-                req.dram_rate,
-                budgets,
-                Some(&session),
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|s| serialize(&s))
+            retry_budget(&net, cfg, seed, req.dram_rate, budgets, ctx!()).map(serialize)
         }
-        "compare" => {
-            let nets = [net.clone()];
-            compare_cells_cancellable(config, &nets, Some(&session), on_cell!(), Some(cancel))
-                .map(|cells| serialize(&cells))
-        }
+        "compare" => compare(&[cfg], net_only, ctx!()).map(serialize),
         "capacity-sweep" => {
-            let caps: &[u64] = req
+            let caps = req
                 .capacities_kib
                 .as_deref()
                 .unwrap_or(&DEFAULT_CAPACITIES_KIB);
-            let keys: Vec<CacheKey> = caps
+            let configs: Vec<AccelConfig> = caps
                 .iter()
-                .map(|&kib| compare_cell_key(&net, &config.with_fm_capacity(kib * 1024)))
+                .map(|&kib| cfg.with_fm_capacity(kib * 1024))
                 .collect();
-            cached_cells_cancellable(
-                Some(&session),
-                caps,
-                &keys,
-                |_| net.total_macs(),
-                |&kib| {
-                    let exp = Experiment::new(config.with_fm_capacity(kib * 1024));
-                    run_compare_cell(&exp, &net)
-                },
-                on_cell!(),
-                Some(cancel),
-            )
-            .map(|cells| serialize(&cells))
+            compare(&configs, net_only, ctx!()).map(serialize)
         }
         other => {
             let _ = tx.send(error_line(
@@ -611,8 +541,8 @@ fn handle_request(
     ));
 }
 
-fn serialize<T: Serialize>(value: &T) -> String {
-    to_json(value).expect("sweep result serialization is infallible")
+fn serialize<T: Serialize>(value: T) -> String {
+    to_json(&value).expect("sweep result serialization is infallible")
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ use sm_core::parallel::set_threads;
 use sm_tensor::ops::{conv2d, conv2d_im2col, gemm_nt, gemm_nt_micro, Conv2dParams};
 use sm_tensor::{Shape4, Tensor};
 
-use crate::cas::ResultCache;
-use crate::experiments::{all_tables, chaos_grid_cached};
+use crate::cas::{ResultCache, SweepCtx};
+use crate::experiments::{all_tables, chaos_grid};
 
 /// The headline replay GEMM shape: the 64-channel 56×56 3×3 convolution of
 /// the ResNet mid-network, lowered by im2col — `rows` output positions by
@@ -220,16 +220,14 @@ pub fn run_bench(threads: usize) -> BenchReport {
         bench_nets
             .iter()
             .map(|net| {
-                chaos_grid_cached(
-                    net,
-                    cfg,
-                    5,
-                    &[0.0, 0.05, 0.1, 0.2, 0.3, 0.5],
-                    &[0.0, 0.01, 0.05, 0.1, 0.2],
-                    Some(8),
-                    Some(session),
-                    |_, _, _| {},
-                )
+                let ctx = SweepCtx {
+                    cache: Some(session),
+                    ..SweepCtx::default()
+                };
+                let fractions = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5];
+                let rates = [0.0, 0.01, 0.05, 0.1, 0.2];
+                chaos_grid(net, cfg, 5, &fractions, &rates, Some(8), ctx)
+                    .expect("a sweep without a cancel source cannot be cancelled")
             })
             .collect::<Vec<_>>()
     };

@@ -46,19 +46,23 @@ const SITE_STREAM_SALT: u64 = 0x517E_FA17_0DD5_EED5;
 /// pre-existing fault class byte-identical.
 const SCHED_STREAM_SALT: u64 = 0x5C4E_DD1E_57A7_E5ED;
 
-/// Deterministic pseudo-random source (SplitMix64), kept private to this
-/// module so the fault stream never depends on an external RNG's version.
+/// Deterministic pseudo-random source (SplitMix64), implemented here so a
+/// fault stream never depends on an external RNG's version. Every seeded
+/// fault plane in the workspace draws from it: the simulator's planes and
+/// the result store's disk-fault injection.
 #[derive(Debug, Clone)]
-struct SplitMix64 {
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    /// A stream starting from `seed`.
+    pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// The next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -67,7 +71,7 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `[0, bound)`; 0 for a zero bound.
-    fn below(&mut self, bound: u64) -> u64 {
+    pub fn below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             0
         } else {
@@ -80,7 +84,7 @@ impl SplitMix64 {
     ///
     /// Consumes no draw at the degenerate rates so an inactive fault class
     /// never perturbs the stream of an active one.
-    fn chance(&mut self, p: f64) -> bool {
+    pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
@@ -91,7 +95,7 @@ impl SplitMix64 {
     }
 
     /// 53-bit uniform value in `[0, 1)`; always consumes exactly one draw.
-    fn unit(&mut self) -> f64 {
+    pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

@@ -70,7 +70,7 @@ pub use error::SimError;
 pub use experiment::{Comparison, Experiment};
 pub use fault::{
     FaultInjector, FaultPlan, Protection, RecoveryBudget, RecoveryPolicy, SchedulerFaultDraw,
-    SiteFaultDraw, StrikeWidth,
+    SiteFaultDraw, SplitMix64, StrikeWidth,
 };
 pub use policy::{AllocPriority, Policy, SpillOrder};
 pub use simulator::{ShortcutMiner, SimOptions, SmRun};

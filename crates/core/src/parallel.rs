@@ -16,11 +16,14 @@
 //! 2. the `SM_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Work is distributed dynamically (an atomic next-item counter), so skewed
-//! item costs — ResNet-152 next to SqueezeNet — still balance. When a cost
-//! estimate is available up front (network MAC counts), [`par_map_weighted`]
-//! instead assigns items largest-first by a static greedy schedule, which
-//! bounds the makespan without sacrificing byte-identity.
+//! There are two dispatchers. [`par_map`] distributes work dynamically (an
+//! atomic next-item counter), so skewed item costs still balance when no
+//! estimate exists. When a cost estimate is available up front (network MAC
+//! counts), [`par_map_weighted_stream_cancellable`] assigns items
+//! largest-first by a static greedy schedule, which bounds the makespan
+//! without sacrificing byte-identity, and adds in-order streaming and
+//! cooperative cancellation; [`par_map_weighted`] is that primitive with
+//! neither.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -136,40 +139,17 @@ where
     tagged.into_iter().map(|(_, u)| u).collect()
 }
 
-/// [`par_map`] at the configured worker count ([`threads`]).
-pub fn par_map_auto<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map(items, threads(), f)
-}
-
-/// Cost-aware [`par_map`]: dispatches the most expensive items first so a
-/// skewed batch (ResNet-152 next to SqueezeNet) never strands one worker on
-/// the big item while the others idle.
-///
-/// `cost` is an *estimate* (e.g. a network's MAC count) consulted once per
-/// item up front. Items are assigned to workers by static greedy
-/// longest-processing-time scheduling: walk the items in descending
-/// estimated cost (ties broken by ascending index) and give each to the
-/// worker with the smallest assigned load so far (ties broken by lowest
-/// worker id). The assignment is a pure function of `(costs, threads)` —
-/// no racy work-stealing — and each worker runs its queue in that fixed
-/// order, so for a deterministic `f` the output is exactly
-/// `items.iter().map(f).collect()` at every thread count: order-preserved
-/// and byte-identical. The thread count and cost function are purely
-/// wall-clock knobs.
+/// Cost-aware [`par_map`]: [`par_map_weighted_stream_cancellable`] with no
+/// streaming callback and no cancel source.
 ///
 /// # Example
 ///
 /// ```
-/// use sm_core::parallel::{par_map, par_map_weighted};
+/// use sm_core::parallel::par_map_weighted;
 ///
 /// let xs = vec![3u64, 100, 4, 1, 5];
 /// let weighted = par_map_weighted(&xs, 4, |&x| x, |x| x * 2);
-/// assert_eq!(weighted, par_map(&xs, 4, |x| x * 2));
+/// assert_eq!(weighted, xs.iter().map(|x| x * 2).collect::<Vec<_>>());
 /// ```
 pub fn par_map_weighted<T, U, F, C>(items: &[T], threads: usize, cost: C, f: F) -> Vec<U>
 where
@@ -178,57 +158,19 @@ where
     F: Fn(&T) -> U + Sync,
     C: Fn(&T) -> u64,
 {
-    let workers = threads.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    // Descending estimated cost, index ascending on ties: the schedule
-    // depends only on the costs, never on timing.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(cost(&items[i])), i));
-
-    // Static greedy LPT assignment to the least-loaded worker.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut loads = vec![0u64; workers];
-    for &i in &order {
-        let w = (0..workers)
-            .min_by_key(|&w| (loads[w], w))
-            .expect("workers > 0");
-        loads[w] = loads[w].saturating_add(cost(&items[i]).max(1));
-        queues[w].push(i);
-    }
-
-    let mut tagged: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for queue in &queues {
-            handles.push(scope.spawn(|| {
-                queue
-                    .iter()
-                    .map(|&i| (i, f(&items[i])))
-                    .collect::<Vec<(usize, U)>>()
-            }));
-        }
-        for handle in handles {
-            tagged.extend(handle.join().expect("weighted sweep worker panicked"));
-        }
-    });
-    tagged.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(tagged.len(), items.len());
-    tagged.into_iter().map(|(_, u)| u).collect()
+    par_map_weighted_stream_cancellable(items, threads, cost, f, |_, _| {}, None)
+        .expect("a dispatch without a cancel source cannot be cancelled")
 }
 
-/// Shared cancellation predicate consulted between work items by the
-/// `*_cancellable` dispatch variants. Returning `true` asks the dispatch to
-/// stop before the next item; items already running complete normally, so
-/// cancellation lands on item boundaries (cell granularity for the sweep
-/// service's deadlines).
+/// Shared cancellation predicate consulted between work items by
+/// [`par_map_weighted_stream_cancellable`]. Returning `true` asks the
+/// dispatch to stop before the next item; items already running complete
+/// normally, so cancellation lands on item boundaries (cell granularity for
+/// the sweep service's deadlines).
 pub type CancelCheck<'a> = &'a (dyn Fn() -> bool + Sync);
 
-/// Typed "the dispatch was cancelled" error returned by the
-/// `*_cancellable` variants when their [`CancelCheck`] fired before every
-/// item completed.
+/// Typed "the dispatch was cancelled" error returned when a
+/// [`CancelCheck`] fired before every item completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
@@ -240,50 +182,35 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// [`par_map_weighted`] that additionally streams each result to `on_ready`
-/// **in input order** as soon as the contiguous prefix up to it has
-/// completed — the dispatch behind the resident sweep service, which emits
-/// a JSON line per finished cell while later cells are still running.
+/// The cost-aware dispatch primitive: maps `f` over `items` on `threads`
+/// scoped workers, dispatching the most expensive items first so a skewed
+/// batch (ResNet-152 next to SqueezeNet) never strands one worker on the big
+/// item while the others idle, and streams each result to `on_ready` **in
+/// input order** as soon as the contiguous prefix up to it has completed —
+/// the dispatch behind the resident sweep service, which emits a JSON line
+/// per finished cell while later cells are still running.
 ///
-/// Work assignment is the same static greedy LPT schedule as
-/// [`par_map_weighted`], so the returned vector is byte-identical to the
-/// serial `items.iter().map(f).collect()` at every thread count, and
+/// `cost` is an *estimate* (e.g. a network's MAC count) consulted once per
+/// item up front. Items are assigned to workers by static greedy
+/// longest-processing-time (LPT) scheduling: walk the items in descending
+/// estimated cost (ties broken by ascending index) and give each to the
+/// worker with the smallest assigned load so far (ties broken by lowest
+/// worker id). The assignment is a pure function of `(costs, threads)` —
+/// no racy work-stealing — and each worker runs its queue in that fixed
+/// order, so for a deterministic `f` the output is exactly
+/// `items.iter().map(f).collect()` at every thread count, and
 /// `on_ready(i, &result[i])` fires exactly once per item with `i` strictly
 /// ascending. `on_ready` runs on the calling thread; workers hand results
 /// over a channel rather than invoking the callback themselves, so the
-/// callback needs no synchronization and observes results in order even
-/// when items complete out of order.
-pub fn par_map_weighted_stream<T, U, F, C, G>(
-    items: &[T],
-    threads: usize,
-    cost: C,
-    f: F,
-    on_ready: G,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    C: Fn(&T) -> u64,
-    G: FnMut(usize, &U),
-{
-    par_map_weighted_stream_cancellable(items, threads, cost, f, on_ready, None)
-        .expect("a dispatch without a cancel source cannot be cancelled")
-}
-
-/// [`par_map_weighted_stream`] with cooperative cancellation: workers
-/// consult `cancel` before starting each item and stop claiming new work
-/// once it returns `true`. Results (and `on_ready` calls) for the
+/// callback needs no synchronization.
+///
+/// Workers consult `cancel` before starting each item and stop claiming
+/// new work once it returns `true`. Results (and `on_ready` calls) for the
 /// contiguous in-order prefix that completed are still delivered; if any
 /// item was abandoned the call returns [`Cancelled`] instead of a result
-/// vector.
-///
-/// With `cancel = None` — or a check that never fires — the behavior and
-/// output are exactly [`par_map_weighted_stream`]: same static LPT
-/// schedule, byte-identical to serial at every thread count. Cancellation
-/// is best-effort on item boundaries: items already executing run to
-/// completion, and a check that first returns `true` after the last item
-/// was claimed yields `Ok` rather than `Err`.
+/// vector. Cancellation is best-effort on item boundaries: items already
+/// executing run to completion, and a check that first returns `true`
+/// after the last item was claimed yields `Ok` rather than `Err`.
 pub fn par_map_weighted_stream_cancellable<T, U, F, C, G>(
     items: &[T],
     threads: usize,
@@ -314,7 +241,8 @@ where
         return Ok(out);
     }
 
-    // The same deterministic LPT assignment as par_map_weighted.
+    // Deterministic LPT assignment: descending cost, index ascending on
+    // ties, each item to the least-loaded worker.
     let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(cost(&items[i])), i));
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
@@ -373,17 +301,6 @@ where
         .into_iter()
         .map(|u| u.expect("stream worker completed every item"))
         .collect())
-}
-
-/// [`par_map_weighted`] at the configured worker count ([`threads`]).
-pub fn par_map_weighted_auto<T, U, F, C>(items: &[T], cost: C, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    C: Fn(&T) -> u64,
-{
-    par_map_weighted(items, threads(), cost, f)
 }
 
 #[cfg(test)]
@@ -482,12 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_results_arrive_in_order_and_match_par_map() {
+    fn streamed_results_arrive_in_order_and_match_serial() {
         let items: Vec<u64> = (0..53).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 7 + 1).collect();
         for threads in [1usize, 2, 4, 16] {
             let mut seen: Vec<usize> = Vec::new();
-            let out = par_map_weighted_stream(
+            let out = par_map_weighted_stream_cancellable(
                 &items,
                 threads,
                 |&x| x,
@@ -496,7 +413,9 @@ mod tests {
                     assert_eq!(*u, expect[i], "value at {i}");
                     seen.push(i);
                 },
-            );
+                None,
+            )
+            .unwrap();
             assert_eq!(out, expect, "{threads} threads");
             assert_eq!(seen, (0..items.len()).collect::<Vec<_>>(), "{threads}");
         }
@@ -506,10 +425,13 @@ mod tests {
     fn stream_handles_empty_and_singleton_inputs() {
         let none: Vec<u32> = Vec::new();
         let mut calls = 0;
-        assert!(par_map_weighted_stream(&none, 8, |_| 1, |x| *x, |_, _| calls += 1).is_empty());
-        assert_eq!(calls, 0);
-        let out = par_map_weighted_stream(&[7u32], 8, |_| 1, |x| x + 1, |_, _| calls += 1);
-        assert_eq!((out, calls), (vec![8], 1));
+        let mut stream = |items: &[u32]| {
+            par_map_weighted_stream_cancellable(items, 8, |_| 1, |x| x + 1, |_, _| calls += 1, None)
+                .unwrap()
+        };
+        assert!(stream(&none).is_empty());
+        assert_eq!(stream(&[7u32]), vec![8]);
+        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -517,7 +439,7 @@ mod tests {
         // Item 0 is slow; the callback must still see 0 before 1..n.
         let items: Vec<u64> = (0..8).collect();
         let mut seen = Vec::new();
-        par_map_weighted_stream(
+        par_map_weighted_stream_cancellable(
             &items,
             4,
             |_| 1,
@@ -528,33 +450,16 @@ mod tests {
                 x
             },
             |i, _| seen.push(i),
-        );
+            None,
+        )
+        .unwrap();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn cancellable_stream_without_a_source_matches_the_plain_stream() {
-        let items: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 5 + 2).collect();
-        for threads in [1usize, 2, 4] {
-            let mut seen = Vec::new();
-            let out = par_map_weighted_stream_cancellable(
-                &items,
-                threads,
-                |&x| x,
-                |x| x * 5 + 2,
-                |i, _| seen.push(i),
-                None,
-            )
-            .unwrap();
-            assert_eq!(out, expect, "{threads} threads");
-            assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn never_firing_cancel_check_is_byte_identical_to_uncancellable() {
+    fn never_firing_cancel_check_is_byte_identical_to_serial() {
         let items: Vec<u64> = (0..29).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * 9).collect();
         let never = || false;
         for threads in [1usize, 3, 8] {
             let cancellable = par_map_weighted_stream_cancellable(
@@ -566,8 +471,7 @@ mod tests {
                 Some(&never),
             )
             .unwrap();
-            let plain = par_map_weighted_stream(&items, threads, |&x| x, |x| x * 9, |_, _| {});
-            assert_eq!(cancellable, plain, "{threads} threads");
+            assert_eq!(cancellable, serial, "{threads} threads");
         }
     }
 

@@ -1631,11 +1631,16 @@ impl<'a> Sim<'a> {
             } else {
                 self.policy.spill_order
             };
+            // Ties on next use (e.g. inception branches feeding one concat)
+            // break by feature-map id, so the victim never depends on the
+            // map's iteration order.
             match order {
                 SpillOrder::FarthestJunctionFirst => {
-                    victims.sort_by_key(|&(_, next_use)| std::cmp::Reverse(next_use))
+                    victims.sort_by_key(|&(fm, next_use)| (std::cmp::Reverse(next_use), fm))
                 }
-                SpillOrder::NearestJunctionFirst => victims.sort_by_key(|&(_, next_use)| next_use),
+                SpillOrder::NearestJunctionFirst => {
+                    victims.sort_by_key(|&(fm, next_use)| (next_use, fm))
+                }
             }
             let (fm, _) = victims[0];
             let r = self.fms.get_mut(&fm).ok_or_else(|| SimError::Invariant {

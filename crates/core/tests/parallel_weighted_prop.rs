@@ -1,11 +1,12 @@
 //! Property tests for the deterministic fan-out primitives: whatever the
 //! thread count and however adversarial the cost estimates, the weighted
 //! (largest-cost-first) dispatcher, the FIFO dispatcher and a serial map
-//! must all return byte-identical results in input order.
+//! must all return byte-identical results in input order, and the weighted
+//! dispatcher must stream every result exactly once in input order.
 
 use proptest::prelude::*;
 
-use sm_core::parallel::{par_map, par_map_weighted};
+use sm_core::parallel::{par_map, par_map_weighted, par_map_weighted_stream_cancellable};
 
 /// The mapped value carries the input and a derived payload so any
 /// reordering or cross-worker mixup shows up as a byte-level mismatch.
@@ -38,21 +39,29 @@ proptest! {
             prop_assert_eq!(&serial, &fifo, "par_map diverged at {} threads", threads);
             // Cost is looked up by item value, so duplicated items share a
             // cost and an empty cost table falls back to a constant.
-            let weighted = par_map_weighted(
-                &items,
-                threads,
-                |x| {
-                    let table = costs.len().max(1);
-                    costs.get(*x as usize % table).copied().unwrap_or(7)
-                },
-                cell,
-            );
+            let cost = |x: &u64| {
+                let table = costs.len().max(1);
+                costs.get(*x as usize % table).copied().unwrap_or(7)
+            };
+            let weighted = par_map_weighted(&items, threads, cost, cell);
             prop_assert_eq!(
                 &serial,
                 &weighted,
                 "par_map_weighted diverged at {} threads",
                 threads
             );
+            let mut streamed: Vec<(usize, Vec<u8>)> = Vec::new();
+            let out = par_map_weighted_stream_cancellable(
+                &items,
+                threads,
+                cost,
+                cell,
+                |i, u| streamed.push((i, u.clone())),
+                None,
+            );
+            prop_assert_eq!(out.as_ref(), Ok(&serial));
+            let in_order: Vec<(usize, Vec<u8>)> = serial.iter().cloned().enumerate().collect();
+            prop_assert_eq!(streamed, in_order, "stream order at {} threads", threads);
         }
     }
 

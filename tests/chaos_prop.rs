@@ -13,6 +13,7 @@ use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::core::functional::verify_value_preservation_with;
 use shortcut_mining::core::{Experiment, FaultPlan, Policy, SimError, SimOptions};
 use shortcut_mining::model::{zoo, Network};
+use sm_bench::cas::SweepCtx;
 
 fn tiny_nets() -> Vec<Network> {
     vec![
@@ -155,13 +156,16 @@ fn nightly_midsize_networks_degrade_gracefully() {
         return;
     }
     for net in [zoo::resnet18(1), zoo::vgg16(1)] {
-        let curve = sm_bench::experiments::chaos_degradation(
+        let curve = sm_bench::experiments::chaos_curve(
             &net,
             AccelConfig::default(),
             17,
             &sm_bench::experiments::DEFAULT_FRACTIONS,
             0.05,
-        );
+            None,
+            SweepCtx::default(),
+        )
+        .unwrap();
         let clean_fm = Experiment::default_config()
             .run(&net, Policy::shortcut_mining())
             .fm_traffic_bytes();
@@ -178,13 +182,15 @@ fn nightly_midsize_networks_degrade_gracefully() {
                 assert!(p.error.is_some(), "{}", net.name());
             }
         }
-        let study = sm_bench::experiments::retry_budget_sweep(
+        let study = sm_bench::experiments::retry_budget(
             &net,
             AccelConfig::default(),
             17,
             0.2,
             &sm_bench::experiments::DEFAULT_RETRY_BUDGETS,
-        );
+            SweepCtx::default(),
+        )
+        .unwrap();
         assert!(
             study.points.iter().any(|p| p.completed),
             "{}: some budget must survive rate 0.2",
@@ -198,13 +204,16 @@ fn nightly_midsize_networks_degrade_gracefully() {
 #[test]
 fn degradation_sweep_never_underreports() {
     let net = zoo::squeezenet_tiny(1);
-    let curve = sm_bench::experiments::chaos_degradation(
+    let curve = sm_bench::experiments::chaos_curve(
         &net,
         AccelConfig::default(),
         11,
         &sm_bench::experiments::DEFAULT_FRACTIONS,
         0.05,
-    );
+        None,
+        SweepCtx::default(),
+    )
+    .unwrap();
     let clean_fm = Experiment::default_config()
         .run(&net, Policy::shortcut_mining())
         .fm_traffic_bytes();

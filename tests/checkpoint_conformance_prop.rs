@@ -242,7 +242,8 @@ fn budget_exhaustion_escalates_monotonically() {
 #[test]
 fn scheduler_sweep_is_thread_count_invariant() {
     use shortcut_mining::accel::AccelConfig;
-    use sm_bench::experiments::{scheduler_sweep, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES};
+    use sm_bench::cas::SweepCtx;
+    use sm_bench::experiments::{scheduler, DEFAULT_SCHEDULER_RATES, SCHEDULER_POLICIES};
 
     let net = zoo::resnet_tiny(2, 1);
     let exp = Experiment::default_config();
@@ -269,14 +270,16 @@ fn scheduler_sweep_is_thread_count_invariant() {
             clean_json,
             "zero-fault identity broke at {threads} thread(s)"
         );
-        sweeps.push(scheduler_sweep(
+        let sweep = scheduler(
             &net,
             AccelConfig::default(),
             42,
             &SCHEDULER_POLICIES,
             &DEFAULT_SCHEDULER_RATES,
             None,
-        ));
+            SweepCtx::default(),
+        );
+        sweeps.push(sweep.unwrap());
     }
     parallel::set_threads(None);
     assert_eq!(

@@ -7,10 +7,11 @@
 //! process-global setting.
 
 use shortcut_mining::accel::AccelConfig;
+use shortcut_mining::bench::cas::SweepCtx;
 use shortcut_mining::bench::experiments::{
-    chaos_degradation, chaos_grid, chaos_grid3, control_path_sweep, fig10_traffic_reduction,
+    chaos_curve, chaos_grid, chaos_grid3, control_path, fig10_traffic_reduction,
     fig11_traffic_breakdown, fig13_throughput, fig14_capacity_sweep, fig15_batch_sweep,
-    retry_budget_sweep, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
+    retry_budget, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
     DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
 };
 use shortcut_mining::bench::json::to_json;
@@ -27,10 +28,27 @@ fn render_all() -> String {
     out.push_str(&fig13_throughput(cfg, 1).table.render());
     out.push_str(&fig14_capacity_sweep(cfg, 1).table.render());
     out.push_str(&fig15_batch_sweep(cfg).table.render());
-    let curve = chaos_degradation(&net, cfg, 9, &DEFAULT_FRACTIONS, 0.05);
+    let curve = chaos_curve(
+        &net,
+        cfg,
+        9,
+        &DEFAULT_FRACTIONS,
+        0.05,
+        None,
+        SweepCtx::default(),
+    );
+    let curve = curve.unwrap();
     out.push_str(&curve.table().render());
     out.push_str(&to_json(&curve).expect("curve serializes"));
-    let study = retry_budget_sweep(&net, cfg, 9, 0.2, &DEFAULT_RETRY_BUDGETS);
+    let study = retry_budget(
+        &net,
+        cfg,
+        9,
+        0.2,
+        &DEFAULT_RETRY_BUDGETS,
+        SweepCtx::default(),
+    );
+    let study = study.unwrap();
     out.push_str(&study.table().render());
     out.push_str(&to_json(&study).expect("study serializes"));
     let grid = chaos_grid(
@@ -40,7 +58,9 @@ fn render_all() -> String {
         &DEFAULT_GRID_FRACTIONS,
         &DEFAULT_GRID_RATES,
         Some(8),
-    );
+        SweepCtx::default(),
+    )
+    .unwrap();
     out.push_str(&grid.table().render());
     out.push_str(&to_json(&grid).expect("grid serializes"));
     let grid3 = chaos_grid3(
@@ -51,19 +71,23 @@ fn render_all() -> String {
         &DEFAULT_GRID_RATES,
         &DEFAULT_GRID_SITE_RATES,
         Some(8),
-    );
+        SweepCtx::default(),
+    )
+    .unwrap();
     for t in grid3.tables() {
         out.push_str(&t.render());
     }
     out.push_str(&to_json(&grid3).expect("grid3 serializes"));
-    let control = control_path_sweep(
+    let control = control_path(
         &net,
         cfg,
         9,
         &CONTROL_PATH_POLICIES,
         &DEFAULT_CONTROL_PATH_RATES,
         None,
-    );
+        SweepCtx::default(),
+    )
+    .unwrap();
     out.push_str(&control.table().render());
     out.push_str(&to_json(&control).expect("control-path study serializes"));
     out

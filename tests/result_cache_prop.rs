@@ -19,13 +19,21 @@ use std::fs;
 use std::path::PathBuf;
 
 use shortcut_mining::accel::AccelConfig;
-use shortcut_mining::bench::cas::{cell_key, ResultCache};
-use shortcut_mining::bench::experiments::{chaos_grid, chaos_grid_cached};
+use shortcut_mining::bench::cas::{cell_key, CacheSession, ResultCache, SweepCtx};
+use shortcut_mining::bench::experiments::chaos_grid;
 use shortcut_mining::bench::json::to_json;
 use shortcut_mining::bench::service::{run_serve, ServeOptions};
 use shortcut_mining::core::parallel::set_threads;
 use shortcut_mining::core::{FaultPlan, Policy};
 use shortcut_mining::model::zoo;
+
+/// A sweep context that consults `cache` (or nothing) and nothing else.
+fn cached<'a, U>(cache: Option<&'a CacheSession<'a>>) -> SweepCtx<'a, U> {
+    SweepCtx {
+        cache,
+        ..SweepCtx::default()
+    }
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sm-prop-{tag}-{}", std::process::id()));
@@ -113,16 +121,16 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
 
     let run = |cache: Option<&ResultCache>| {
         let session = cache.map(|c| c.session());
-        let grid = chaos_grid_cached(
+        let grid = chaos_grid(
             &net,
             cfg,
             7,
             &fractions,
             &rates,
             Some(8),
-            session.as_ref(),
-            |_, _, _| {},
-        );
+            cached(session.as_ref()),
+        )
+        .unwrap();
         let stats = session.map(|s| s.stats());
         (to_json(&grid).unwrap(), stats)
     };
@@ -147,16 +155,16 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     set_threads(Some(4));
     let grown = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9];
     let session = store.session();
-    let grid = chaos_grid_cached(
+    let grid = chaos_grid(
         &net,
         cfg,
         7,
         &grown,
         &rates,
         Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+        cached(Some(&session)),
+    )
+    .unwrap();
     let stats = session.stats();
     assert_eq!(
         stats.misses, 2,
@@ -164,7 +172,7 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     );
     assert_eq!(stats.hits, 10);
     // The delta-run grid matches a from-scratch run of the grown grid.
-    let fresh = chaos_grid(&net, cfg, 7, &grown, &rates, Some(8));
+    let fresh = chaos_grid(&net, cfg, 7, &grown, &rates, Some(8), cached(None)).unwrap();
     assert_eq!(to_json(&grid).unwrap(), to_json(&fresh).unwrap());
 
     // Corruption: truncate one entry, bit-flip another. Both are rejected,
@@ -186,16 +194,16 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
     fs::write(flipped, bytes).unwrap();
 
     let session = store.session();
-    let regrown = chaos_grid_cached(
+    let regrown = chaos_grid(
         &net,
         cfg,
         7,
         &grown,
         &rates,
         Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+        cached(Some(&session)),
+    )
+    .unwrap();
     let stats = session.stats();
     assert_eq!(to_json(&regrown).unwrap(), to_json(&fresh).unwrap());
     assert_eq!(
@@ -207,16 +215,16 @@ fn warm_runs_are_byte_identical_and_delta_dispatch_only_misses() {
 
     // The evicted entries were rewritten: a final pass is all hits again.
     let session = store.session();
-    chaos_grid_cached(
+    chaos_grid(
         &net,
         cfg,
         7,
         &grown,
         &rates,
         Some(8),
-        Some(&session),
-        |_, _, _| {},
-    );
+        cached(Some(&session)),
+    )
+    .unwrap();
     assert_eq!(session.stats().misses, 0);
 
     set_threads(None);
