@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use sm_accel::AccelConfig;
-use sm_core::parallel::{par_map, par_map_weighted};
+use sm_core::parallel::{par_map, par_map_weighted, set_threads};
 use sm_core::{Experiment, Policy};
 use sm_model::{zoo, Network};
 use sm_tensor::ops::{gemm_nt, gemm_nt_micro};
@@ -29,6 +29,9 @@ const REPLAY_SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 fn bench_gemm(c: &mut Criterion) {
+    // Kernel against kernel on one worker: the microkernel's row-slab split
+    // would otherwise fold the core count into the comparison.
+    set_threads(Some(1));
     for &(rows, cols, m) in REPLAY_SHAPES {
         let a = Tensor::random(Shape4::new(1, 1, rows, cols), 11).into_vec();
         let b = Tensor::random(Shape4::new(1, 1, m, cols), 12).into_vec();
@@ -43,6 +46,7 @@ fn bench_gemm(c: &mut Criterion) {
         });
         g.finish();
     }
+    set_threads(None);
 }
 
 /// A skewed sweep: one ResNet-152 (the whale) plus a school of SqueezeNets.

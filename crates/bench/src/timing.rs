@@ -142,9 +142,11 @@ pub fn run_bench(threads: usize) -> BenchReport {
     set_threads(Some(threads));
     let mut parallel_out = String::new();
     let suite_parallel_ms = median_ms(3, || parallel_out = render(&all_tables(cfg)));
-    set_threads(None);
 
-    // 2. Convolution kernel: a mid-network ResNet-ish layer shape.
+    // 2. Convolution kernel: a mid-network ResNet-ish layer shape. Sections
+    // 2 and 2b compare kernels, so they run on one worker: the microkernel's
+    // row-slab split would otherwise fold the core count into both speedups.
+    set_threads(Some(1));
     let input = Tensor::random(Shape4::new(1, 64, 56, 56), 7);
     let weights = Tensor::random(Shape4::new(64, 64, 3, 3), 8);
     let params = Conv2dParams::new(3, 1, 1);
@@ -166,6 +168,7 @@ pub fn run_bench(threads: usize) -> BenchReport {
     let gemm_micro_ms = median_ms(3, || {
         gemm_nt_micro(&a, &b, rows, cols, m);
     });
+    set_threads(None);
 
     // 3. Tiling planner, cold vs memoized, over a realistic key set.
     let caps = TileCaps {

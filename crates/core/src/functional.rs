@@ -3,15 +3,19 @@
 //! [`verify_value_preservation`] proves, for a concrete network / policy /
 //! configuration, that the Shortcut Mining schedule never loses data: it
 //! replays the simulator's residency [`crate::Trace`] at *value* level,
-//! holding an actual copy of every on-chip prefix and DRAM suffix, and
-//! re-executes each layer from operands reconstructed **only** from those
-//! copies. Any accounting bug — a read of never-written DRAM, a spill that
+//! tracking which index range of every feature map is resident on chip and
+//! which lives in DRAM, and checks every layer's operands against the golden
+//! executor's outputs as they would be reconstructed **only** from those two
+//! ranges. Any accounting bug — a read of never-written DRAM, a spill that
 //! drops bytes, a resident prefix longer than what was produced — surfaces
 //! as a [`CheckError`] rather than a silently wrong figure.
 //!
-//! Because the golden executor is the single source of arithmetic, the final
-//! outputs are bit-identical to a plain golden run whenever the replay
-//! succeeds; the checker asserts that too.
+//! Layers are not re-executed. Once a layer's operands are proven
+//! bit-identical to the golden inputs, its output is the golden output: the
+//! golden run computed it with the same deterministic executor from the same
+//! values. A silent strike is recorded as a bit flip on an element index and
+//! applied to a copy of the golden tensor only when a read meets it, so the
+//! golden tensors are never mutated and no clean map is ever copied.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -19,7 +23,7 @@ use std::fmt;
 
 use sm_accel::AccelConfig;
 use sm_model::exec::GoldenExecutor;
-use sm_model::{LayerId, Network};
+use sm_model::Network;
 use sm_tensor::Tensor;
 
 use crate::{
@@ -27,70 +31,14 @@ use crate::{
     TraceEvent,
 };
 
-/// Builds the localized mismatch diagnostic: the producing layer's name and
-/// the NCHW coordinate of the first element that differs from the golden
-/// value (tile-level localization for fault triage).
-fn value_mismatch(net: &Network, fm: usize, ours: &Tensor, golden: &Tensor) -> CheckError {
-    let max_diff = ours.max_abs_diff(golden).expect("same shapes");
-    let idx = ours
-        .as_slice()
-        .iter()
-        .zip(golden.as_slice())
-        .position(|(a, b)| a != b)
-        .unwrap_or(0);
-    let s = golden.shape();
-    let per_c = (s.h * s.w).max(1);
-    let per_n = (s.c * per_c).max(1);
-    CheckError::ValueMismatch {
-        fm,
-        layer: net.layers()[fm].name.clone(),
-        coord: [
-            idx / per_n,
-            (idx % per_n) / per_c,
-            (idx % per_c) / s.w.max(1),
-            idx % s.w.max(1),
-        ],
-        max_diff,
-    }
-}
-
-/// Upgrades a plain value mismatch to the BCU-misroute diagnostic when the
-/// trace recorded a silent mapping-table strike on the mismatching feature
-/// map's routing entry; `consumer` is the layer that observed the wrong
-/// values.
-fn mismatch_diag(
-    net: &Network,
-    fm: usize,
-    consumer: usize,
-    ours: &Tensor,
-    golden: &Tensor,
-    bcu_strikes: &HashMap<usize, usize>,
-) -> CheckError {
-    match (bcu_strikes.get(&fm), value_mismatch(net, fm, ours, golden)) {
-        (
-            Some(&buffer),
-            CheckError::ValueMismatch {
-                fm,
-                layer,
-                coord,
-                max_diff,
-            },
-        ) => CheckError::BcuMisroute {
-            fm,
-            layer,
-            buffer,
-            distance: consumer.saturating_sub(fm),
-            coord,
-            max_diff,
-        },
-        (_, err) => err,
-    }
-}
-
 /// Violation found while replaying a trace at value level.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CheckError {
+    /// The golden executor refused the network (for example a layer with a
+    /// zero-element output shape, which the builder accepts). Carries the
+    /// executor's message.
+    Exec(String),
     /// The simulation itself failed before producing a trace to check.
     Sim(SimError),
     /// `resident + dram_suffix < total`: some elements live nowhere.
@@ -161,6 +109,7 @@ pub enum CheckError {
 impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CheckError::Exec(e) => write!(f, "golden execution failed: {e}"),
             CheckError::Sim(e) => write!(f, "simulation failed: {e}"),
             CheckError::CoverageHole { fm, covered, total } => {
                 write!(f, "fm {fm}: only {covered} of {total} elements reachable")
@@ -226,54 +175,119 @@ impl From<SimError> for CheckError {
     }
 }
 
-/// Value-level state of one feature map during replay.
+/// Value-level state of one feature map during replay: which index ranges
+/// of the golden tensor the schedule still holds, and the bit flips silent
+/// strikes applied to them.
+#[derive(Default)]
 struct FmState {
-    total: u64,
-    /// On-chip prefix values.
-    resident: Vec<f32>,
-    /// DRAM suffix values (`total - dram.len()` is the suffix start).
-    dram: Vec<f32>,
+    total: usize,
+    /// The on-chip prefix is elements `0..resident`.
+    resident: usize,
+    /// The DRAM suffix is elements `total - dram..total`.
+    dram: usize,
+    /// Element indices a silent strike flipped, in strike order. A flip is
+    /// an XOR, so two strikes on one element cancel.
+    flips: Vec<usize>,
+    /// Logical buffer whose BCU routing entry for this map took a silent
+    /// strike: a later mismatch is reported as a misroute.
+    misroute: Option<usize>,
 }
 
 impl FmState {
-    fn covered(&self) -> u64 {
-        let suffix_start = self.total as usize - self.dram.len();
-        if self.resident.len() >= suffix_start {
+    fn covered(&self) -> usize {
+        if self.resident >= self.total.saturating_sub(self.dram) {
             self.total
         } else {
-            (self.resident.len() + self.dram.len()) as u64
+            self.resident + self.dram
         }
     }
 
-    /// Rebuilds the full feature map strictly from the stored copies.
-    fn reconstruct(&self, fm: usize) -> Result<Vec<f32>, CheckError> {
+    /// Fails with [`CheckError::CoverageHole`] when some element lives
+    /// neither on chip nor in DRAM.
+    fn check_coverage(&self, fm: usize) -> Result<(), CheckError> {
         if self.covered() < self.total {
             return Err(CheckError::CoverageHole {
                 fm,
-                covered: self.covered(),
-                total: self.total,
+                covered: self.covered() as u64,
+                total: self.total as u64,
             });
         }
-        let total = self.total as usize;
-        let suffix_start = total - self.dram.len();
-        let mut full = Vec::with_capacity(total);
-        full.extend_from_slice(&self.resident);
-        full.extend_from_slice(&self.dram[full.len() - suffix_start..]);
-        debug_assert_eq!(full.len(), total);
-        Ok(full)
+        Ok(())
+    }
+
+    /// Reads the full feature map back from the resident prefix and the
+    /// DRAM suffix and compares it with `golden`; `consumer` is the reading
+    /// layer. A mismatch names the producing layer and the NCHW coordinate
+    /// of the first differing element (tile-level localization for fault
+    /// triage); it is a BCU misroute when the map's routing entry took a
+    /// silent strike.
+    fn check_read(
+        &self,
+        net: &Network,
+        fm: usize,
+        consumer: usize,
+        golden: &Tensor,
+    ) -> Result<(), CheckError> {
+        self.check_coverage(fm)?;
+        if self.flips.is_empty() {
+            return Ok(());
+        }
+        let mut ours = golden.clone();
+        for &i in &self.flips {
+            let v = &mut ours.as_mut_slice()[i];
+            *v = f32::from_bits(v.to_bits() ^ 0x0040_0000);
+        }
+        let max_diff = ours.max_abs_diff(golden).expect("same shapes");
+        if max_diff == 0.0 {
+            return Ok(());
+        }
+        let idx = ours
+            .as_slice()
+            .iter()
+            .zip(golden.as_slice())
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        let s = golden.shape();
+        let per_c = (s.h * s.w).max(1);
+        let per_n = (s.c * per_c).max(1);
+        let coord = [
+            idx / per_n,
+            (idx % per_n) / per_c,
+            (idx % per_c) / s.w.max(1),
+            idx % s.w.max(1),
+        ];
+        let layer = net.layers()[fm].name.clone();
+        Err(match self.misroute {
+            Some(buffer) => CheckError::BcuMisroute {
+                fm,
+                layer,
+                buffer,
+                distance: consumer.saturating_sub(fm),
+                coord,
+                max_diff,
+            },
+            None => CheckError::ValueMismatch {
+                fm,
+                layer,
+                coord,
+                max_diff,
+            },
+        })
     }
 }
 
 /// Replays a Shortcut Mining run of `net` at value level.
 ///
 /// Runs the golden executor with `seed`, simulates the network under
-/// (`config`, `policy`), then replays the trace with real values and
-/// re-evaluates every layer from reconstructed operands.
+/// (`config`, `policy`), then replays the trace, checking every layer's
+/// operands as reconstructed from the schedule's resident prefixes and DRAM
+/// suffixes against the golden values.
 ///
 /// # Errors
 ///
 /// Returns the first [`CheckError`] encountered; `Ok(())` means the schedule
-/// is value-preserving for this input.
+/// is value-preserving for this input. A network the golden executor cannot
+/// run is [`CheckError::Exec`].
 ///
 /// # Panics
 ///
@@ -305,6 +319,14 @@ pub fn verify_value_preservation(
 /// be value-preserving: every revoked bank is evacuated to DRAM and every
 /// corrupted prefix is re-fetched, so the replay holds or the simulation
 /// itself returns a typed [`SimError`] (surfaced as [`CheckError::Sim`]).
+///
+/// # Errors
+///
+/// As [`verify_value_preservation`].
+///
+/// # Panics
+///
+/// Panics when `policy` is the baseline (no trace to check).
 pub fn verify_value_preservation_with(
     net: &Network,
     config: AccelConfig,
@@ -312,24 +334,25 @@ pub fn verify_value_preservation_with(
     seed: u64,
     options: &SimOptions,
 ) -> Result<(), CheckError> {
-    let exec = GoldenExecutor::new(net, seed);
-    let golden = exec.run().expect("golden execution of a built network");
+    let golden = GoldenExecutor::new(net, seed)
+        .run()
+        .map_err(|e| CheckError::Exec(e.to_string()))?;
     let run = ShortcutMiner::new(config, policy).try_simulate(net, options)?;
 
-    let mut states: HashMap<usize, FmState> = HashMap::new();
-    // Feature maps whose BCU routing entry took a *silent* strike, keyed to
-    // the struck logical buffer: a later mismatch on one of these is
-    // reported as a misroute with the travel distance.
-    let mut bcu_strikes: HashMap<usize, usize> = HashMap::new();
     // The network input starts fully in DRAM.
-    states.insert(
-        0,
-        FmState {
-            total: golden[0].shape().len() as u64,
-            resident: Vec::new(),
-            dram: golden[0].as_slice().to_vec(),
-        },
-    );
+    let input_len = golden[0].shape().len();
+    let input = FmState {
+        total: input_len,
+        dram: input_len,
+        ..FmState::default()
+    };
+    let mut states: HashMap<usize, FmState> = HashMap::from([(0, input)]);
+    let read = |states: &HashMap<usize, FmState>, fm: usize, consumer: usize| {
+        states
+            .get(&fm)
+            .ok_or(CheckError::UnknownFm(fm))?
+            .check_read(net, fm, consumer, &golden[fm])
+    };
 
     for event in &run.trace.events {
         match *event {
@@ -339,74 +362,40 @@ pub fn verify_value_preservation_with(
                 resident_elems,
                 dram_elems,
             } => {
-                // Re-evaluate the layer from reconstructed operands only.
-                let layer = &net.layers()[fm];
-                let mut operands: Vec<Tensor> = Vec::new();
-                for &input in &layer.inputs {
-                    let st = states
-                        .get(&input.index())
-                        .ok_or(CheckError::UnknownFm(input.index()))?;
-                    let data = st.reconstruct(input.index())?;
-                    let t = Tensor::from_vec(net.layer(input).out_shape, data)
-                        .expect("reconstruction has full length");
-                    let diff = t.max_abs_diff(&golden[input.index()]).expect("same shapes");
-                    if diff != 0.0 {
-                        return Err(mismatch_diag(
-                            net,
-                            input.index(),
-                            fm,
-                            &t,
-                            &golden[input.index()],
-                            &bcu_strikes,
-                        ));
-                    }
-                    operands.push(t);
+                // Operands proven bit-identical to golden make the output
+                // the golden output: the executor is deterministic.
+                for input in &net.layers()[fm].inputs {
+                    read(&states, input.index(), fm)?;
                 }
-                let refs: Vec<&Tensor> = operands.iter().collect();
-                let out = exec
-                    .eval(LayerId(fm), &refs)
-                    .expect("evaluation of a built layer");
-                let diff = out.max_abs_diff(&golden[fm]).expect("same shapes");
-                if diff != 0.0 {
-                    return Err(value_mismatch(net, fm, &out, &golden[fm]));
-                }
-
-                let values = golden[fm].as_slice();
-                debug_assert_eq!(values.len() as u64, total_elems);
+                debug_assert_eq!(golden[fm].shape().len() as u64, total_elems);
                 let st = FmState {
-                    total: total_elems,
-                    resident: values[..resident_elems as usize].to_vec(),
-                    dram: values[(total_elems - dram_elems) as usize..].to_vec(),
+                    total: total_elems as usize,
+                    resident: resident_elems as usize,
+                    dram: dram_elems as usize,
+                    ..FmState::default()
                 };
-                if st.covered() < st.total {
-                    return Err(CheckError::CoverageHole {
-                        fm,
-                        covered: st.covered(),
-                        total: st.total,
-                    });
-                }
+                st.check_coverage(fm)?;
                 states.insert(fm, st);
             }
             TraceEvent::Spill {
                 fm,
                 new_resident_elems,
             } => {
+                // The spill writes the evicted part of the prefix to DRAM,
+                // flipped elements included.
                 let st = states.get_mut(&fm).ok_or(CheckError::UnknownFm(fm))?;
-                let full = st.reconstruct(fm)?;
-                let new_cov = st
-                    .dram
-                    .len()
-                    .max(st.total as usize - new_resident_elems as usize);
-                st.dram = full[st.total as usize - new_cov..].to_vec();
-                st.resident.truncate(new_resident_elems as usize);
+                st.check_coverage(fm)?;
+                let new_resident = new_resident_elems as usize;
+                st.dram = st.dram.max(st.total.saturating_sub(new_resident));
+                st.resident = st.resident.min(new_resident);
             }
             TraceEvent::FetchMissing { fm, elems, .. } => {
                 let st = states.get(&fm).ok_or(CheckError::UnknownFm(fm))?;
-                if (st.dram.len() as u64) < elems {
+                if (st.dram as u64) < elems {
                     return Err(CheckError::FetchBeyondDram {
                         fm,
                         requested: elems,
-                        available: st.dram.len() as u64,
+                        available: st.dram as u64,
                     });
                 }
             }
@@ -434,14 +423,17 @@ pub fn verify_value_preservation_with(
                     if let FaultSite::Scheduler { structure } = site {
                         return Err(CheckError::SchedulerCorrupt { layer, structure });
                     }
-                    if let FaultSite::BcuTable { buffer } = site {
-                        bcu_strikes.insert(layer, buffer);
-                    }
                     let st = states.get_mut(&layer).ok_or(CheckError::UnknownFm(layer))?;
-                    let slot = st.resident.first_mut().or_else(|| st.dram.first_mut());
-                    if let Some(v) = slot {
-                        // Flip a mantissa bit: changes any finite value.
-                        *v = f32::from_bits(v.to_bits() ^ 0x0040_0000);
+                    if let FaultSite::BcuTable { buffer } = site {
+                        st.misroute = Some(buffer);
+                    }
+                    // Flip a mantissa bit (changes any finite value) of the
+                    // first element held: the resident prefix's head, else
+                    // the DRAM suffix's head.
+                    if st.resident > 0 {
+                        st.flips.push(0);
+                    } else if st.dram > 0 {
+                        st.flips.push(st.total - st.dram);
                     }
                 }
             }
@@ -451,28 +443,10 @@ pub fn verify_value_preservation_with(
         }
     }
 
-    // Every produced feature map must be reconstructible at the end of the
-    // events affecting it (terminal outputs in particular).
-    let last = net.layers().last().expect("non-empty network");
-    let st = states
-        .get(&last.id.index())
-        .ok_or(CheckError::UnknownFm(last.id.index()))?;
-    let data = st.reconstruct(last.id.index())?;
-    let out = Tensor::from_vec(last.out_shape, data).expect("full length");
-    let diff = out
-        .max_abs_diff(golden.last().expect("non-empty"))
-        .expect("same shapes");
-    if diff != 0.0 {
-        return Err(mismatch_diag(
-            net,
-            last.id.index(),
-            last.id.index(),
-            &out,
-            golden.last().expect("non-empty"),
-            &bcu_strikes,
-        ));
-    }
-    Ok(())
+    // The network output must be reconstructible at the end of the events
+    // affecting it.
+    let last = net.layers().last().expect("non-empty network").id.index();
+    read(&states, last, last)
 }
 
 #[cfg(test)]
@@ -703,6 +677,81 @@ mod tests {
             )
             .unwrap_or_else(|e| panic!("{plan:?}: {e}"));
         }
+    }
+
+    #[test]
+    fn unexecutable_network_is_a_typed_error_not_a_panic() {
+        use sm_model::{ConvSpec, NetworkBuilder};
+        use sm_tensor::Shape4;
+        // The builder accepts a conv with zero output channels; the golden
+        // executor refuses it, and the replay reports that refusal.
+        let mut b = NetworkBuilder::new("degenerate", Shape4::new(1, 3, 8, 8));
+        let x = b.input_id();
+        b.conv("c0", x, ConvSpec::relu(0, 3, 1, 1)).unwrap();
+        let net = b.finish().unwrap();
+        let err =
+            verify_value_preservation(&net, AccelConfig::default(), Policy::shortcut_mining(), 1)
+                .unwrap_err();
+        match &err {
+            CheckError::Exec(msg) => assert!(msg.contains("zero-element shape"), "{msg}"),
+            other => panic!("expected an execution error, got {other}"),
+        }
+        assert!(
+            err.to_string().starts_with("golden execution failed"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn flip_records_cancel_in_pairs_and_localize_the_mismatch() {
+        let net = zoo::toy_residual(1);
+        let golden = GoldenExecutor::new(&net, 7).run().unwrap();
+        let total = golden[1].shape().len();
+        let read = |flips: Vec<usize>, misroute| {
+            let st = FmState {
+                total,
+                resident: 0,
+                dram: total,
+                flips,
+                misroute,
+            };
+            st.check_read(&net, 1, 3, &golden[1])
+        };
+        assert_eq!(read(Vec::new(), None), Ok(()));
+        assert_eq!(read(vec![0, 0], Some(2)), Ok(()), "two flips cancel");
+        let last = total - 1;
+        let s = golden[1].shape();
+        match read(vec![last], None) {
+            Err(CheckError::ValueMismatch { fm: 1, coord, .. }) => {
+                assert_eq!(coord, [s.n - 1, s.c - 1, s.h - 1, s.w - 1]);
+            }
+            other => panic!("expected a mismatch at the last element, got {other:?}"),
+        }
+        match read(vec![0], Some(2)) {
+            Err(CheckError::BcuMisroute {
+                buffer: 2,
+                distance: 2,
+                coord: [0, 0, 0, 0],
+                ..
+            }) => {}
+            other => panic!("expected a misroute, got {other:?}"),
+        }
+        // A hole is reported before any value is compared.
+        let hole = FmState {
+            total,
+            resident: 1,
+            dram: total - 2,
+            flips: vec![0],
+            misroute: None,
+        };
+        assert_eq!(
+            hole.check_read(&net, 1, 3, &golden[1]),
+            Err(CheckError::CoverageHole {
+                fm: 1,
+                covered: total as u64 - 1,
+                total: total as u64,
+            })
+        );
     }
 
     #[test]

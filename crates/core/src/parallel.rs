@@ -8,13 +8,12 @@
 //! serial loop would produce, so parallel output is byte-identical to serial
 //! output and the thread count is purely a wall-clock knob.
 //!
-//! The thread count resolves in priority order:
-//!
-//! 1. an explicit `--threads <n>` flag, applied via [`set_threads`] (the
-//!    [`parse_threads_flag`] helper strips it from an argv for the
-//!    binaries);
-//! 2. the `SM_THREADS` environment variable;
-//! 3. [`std::thread::available_parallelism`].
+//! The thread count is the process-wide setting of `sm-tensor`, re-exported
+//! here as [`threads`] / [`set_threads`]: an explicit `--threads <n>` flag
+//! (the [`parse_threads_flag`] helper strips it from an argv for the
+//! binaries), else `SM_THREADS`, else
+//! [`std::thread::available_parallelism`]. The same count sizes the golden
+//! executor's GEMM split.
 //!
 //! There are two dispatchers. [`par_map`] distributes work dynamically (an
 //! atomic next-item counter), so skewed item costs still balance when no
@@ -27,37 +26,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide thread-count override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count used by [`threads`] (the `--threads`
-/// flag of the binaries lands here). `None` or `Some(0)` clears the
-/// override.
-pub fn set_threads(n: Option<usize>) {
-    THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The worker count parallel sweeps use: the [`set_threads`] override if
-/// set, else `SM_THREADS` if parseable and non-zero, else the machine's
-/// available parallelism (1 when even that is unknown).
-pub fn threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// `SM_THREADS` as a positive worker count, when set and well-formed.
-fn env_threads() -> Option<usize> {
-    std::env::var("SM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
+pub use sm_tensor::{set_threads, threads};
 
 /// Strips `--threads <n>` from an argument list, returning the parsed count.
 ///
@@ -549,11 +518,5 @@ mod tests {
             .collect();
         assert_eq!(parse_threads_flag(&mut twice), Ok(Some(6)));
         assert!(twice.is_empty());
-    }
-
-    #[test]
-    fn thread_count_resolution_is_sane() {
-        // Whatever the environment, the resolved count is positive.
-        assert!(threads() >= 1);
     }
 }

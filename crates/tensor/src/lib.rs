@@ -33,9 +33,11 @@
 mod error;
 mod shape;
 mod tensor;
+mod threads;
 
 pub mod ops;
 
 pub use error::TensorError;
 pub use shape::Shape4;
 pub use tensor::Tensor;
+pub use threads::{set_threads, threads};

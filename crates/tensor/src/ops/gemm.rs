@@ -24,6 +24,23 @@
 //! jamming 64 independent dependency chains, and SIMD comes from the
 //! compiler vectorizing across the `NR` accumulator lanes — both legal
 //! without `-ffast-math` because no chain is ever reordered.
+//!
+//! # Row-slab parallelism
+//!
+//! `gemm_nt_micro` splits `C` into contiguous slabs of whole [`MR`]-row
+//! blocks, one per worker of the process-wide [`threads`](crate::threads)
+//! count, and each worker computes its slab in place (its own `chunks_mut`
+//! of `C`, its own packing buffers) under `std::thread::scope`. A cell's
+//! value depends only on its row of `A`, its row of `B` and the strip
+//! order, none of which the split touches: every worker still walks the
+//! `KC` strips in ascending order and folds each strip's per-cell sum into
+//! `C` exactly as the serial loop does, and no accumulator ever mixes
+//! cells, so which rows share a register tile cannot matter. The result is
+//! therefore bit-identical to [`gemm_nt`] at every thread count. Slabs
+//! start on `MR` boundaries, so every tile but the last is full.
+//! Products below [`PAR_MIN_MACS`] multiply-adds per worker use fewer
+//! workers, down to the serial loop, where spawning would cost more than
+//! it saves.
 
 /// Iteration-space block sizes, sized for a 32 KiB L1 data cache: an
 /// `MC`-row panel of `A` plus an `NC`-row panel of `B` over a `KC`-wide
@@ -39,6 +56,11 @@ pub const KC: usize = 192;
 pub const MR: usize = 8;
 /// Microkernel register-block width (rows of `B`, i.e. columns of `C`).
 pub const NR: usize = 8;
+
+/// Fewest multiply-adds one GEMM worker is given (about 150 µs of
+/// single-core microkernel time): smaller products run on fewer workers,
+/// down to one.
+const PAR_MIN_MACS: usize = 1 << 20;
 
 /// `C = A · Bᵀ` with both inputs row-major: `A` is `rows × cols`, `B` is
 /// `m × cols`, and the result is `rows × m` row-major.
@@ -96,13 +118,26 @@ pub fn gemm_nt(a: &[f32], b: &[f32], rows: usize, cols: usize, m: usize) -> Vec<
 /// `MR`/`NR` width and only writing back the valid cells, so every shape
 /// takes the same (full-speed) inner kernel.
 ///
-/// Bit-identical to [`gemm_nt`] on every input — see the module docs for
-/// the argument.
+/// Rows are split over the [`threads`](crate::threads) worker count in
+/// `MR`-aligned slabs. Bit-identical to [`gemm_nt`] on every input and at
+/// every thread count — see the module docs for the argument.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree with the stated dimensions.
 pub fn gemm_nt_micro(a: &[f32], b: &[f32], rows: usize, cols: usize, m: usize) -> Vec<f32> {
+    gemm_nt_micro_threads(a, b, rows, cols, m, crate::threads())
+}
+
+/// [`gemm_nt_micro`] on at most `threads` workers.
+pub(crate) fn gemm_nt_micro_threads(
+    a: &[f32],
+    b: &[f32],
+    rows: usize,
+    cols: usize,
+    m: usize,
+    threads: usize,
+) -> Vec<f32> {
     assert_eq!(a.len(), rows * cols, "A is not rows x cols");
     assert_eq!(b.len(), m * cols, "B is not m x cols");
     // Explicit degenerate-dimension early-outs: no packing buffers are
@@ -116,12 +151,39 @@ pub fn gemm_nt_micro(a: &[f32], b: &[f32], rows: usize, cols: usize, m: usize) -
         return c;
     }
 
+    let workers = gemm_workers(rows, cols, m, threads);
+    if workers == 1 {
+        micro_slab(a, b, cols, m, &mut c);
+        return c;
+    }
+    let slab_rows = rows.div_ceil(MR).div_ceil(workers) * MR;
+    std::thread::scope(|scope| {
+        for (slab, c_slab) in c.chunks_mut(slab_rows * m).enumerate() {
+            let r0 = slab * slab_rows;
+            let a_slab = &a[r0 * cols..(r0 + c_slab.len() / m) * cols];
+            scope.spawn(move || micro_slab(a_slab, b, cols, m, c_slab));
+        }
+    });
+    c
+}
+
+/// Workers a `rows × cols × m` product is split over: at most `threads`,
+/// one per `MR`-row block at most, and each with at least
+/// [`PAR_MIN_MACS`] multiply-adds.
+fn gemm_workers(rows: usize, cols: usize, m: usize, threads: usize) -> usize {
+    let by_work = rows.saturating_mul(cols).saturating_mul(m) / PAR_MIN_MACS;
+    threads.min(rows.div_ceil(MR)).min(by_work).max(1)
+}
+
+/// The serial microkernel over one slab: `c += a · bᵀ` where `a` holds the
+/// slab's rows and `c` the matching rows of the result.
+fn micro_slab(a: &[f32], b: &[f32], cols: usize, m: usize, c: &mut [f32]) {
+    let rows = c.len() / m;
     let n_panels = m.div_ceil(NR);
     // Packed B strip: n_panels panels, each KC k-steps of NR lanes.
     let mut bp = vec![0.0f32; n_panels * KC * NR];
     // Packed A micro-panel: KC k-steps of MR lanes.
     let mut ap = vec![0.0f32; KC * MR];
-
     for k0 in (0..cols).step_by(KC) {
         let kc = (KC).min(cols - k0);
         // Pack B: panel p holds rows j0..j0+NR of B over the strip,
@@ -190,7 +252,6 @@ pub fn gemm_nt_micro(a: &[f32], b: &[f32], rows: usize, cols: usize, m: usize) -
             }
         }
     }
-    c
 }
 
 #[cfg(test)]
@@ -266,6 +327,32 @@ mod tests {
                     let scalar = gemm_nt(&a, &b, rows, cols, m);
                     assert_eq!(micro, scalar, "{rows}x{cols}x{m}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn row_slabs_are_bit_identical_to_scalar_at_any_thread_count() {
+        // (rows, cols, m, workers at 7 threads): rows < MR; rows not a
+        // multiple of MR, split into ragged slabs; more threads than row
+        // blocks; and a product too small to split.
+        for (rows, cols, m, at_seven) in [
+            (5usize, 4100usize, 300usize, 1usize),
+            (203, 400, 70, 5),
+            (20, 1100, 300, 3),
+            (37, 50, 9, 1),
+        ] {
+            assert_eq!(
+                gemm_workers(rows, cols, m, 7),
+                at_seven,
+                "{rows}x{cols}x{m}"
+            );
+            let a = pseudo(rows * cols, rows as u64);
+            let b = pseudo(m * cols, m as u64);
+            let scalar = gemm_nt(&a, &b, rows, cols, m);
+            for threads in [1usize, 2, 3, 7] {
+                let micro = gemm_nt_micro_threads(&a, &b, rows, cols, m, threads);
+                assert_eq!(micro, scalar, "{rows}x{cols}x{m} on {threads} threads");
             }
         }
     }

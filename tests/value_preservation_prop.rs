@@ -153,3 +153,49 @@ proptest! {
             .unwrap_or_else(|e| panic!("{e} under {}", policy.label()));
     }
 }
+
+/// Paper scale, nightly only (`SM_NIGHTLY=1`): ResNet-34 under every
+/// protected fault plan — parity, single-bit ECC, and multi-bit ECC with
+/// refetch, recompute or checkpoint recovery, on the BCU table, the weight
+/// and PE sites and the scheduler state — replays bit-exactly.
+#[test]
+fn nightly_resnet34_protected_fault_plans_preserve_values() {
+    use shortcut_mining::core::functional::verify_value_preservation_with;
+    use shortcut_mining::core::{FaultPlan, Protection, RecoveryPolicy, SimOptions};
+
+    if std::env::var("SM_NIGHTLY").map_or(true, |v| v != "1") {
+        eprintln!("skipping nightly ResNet-34 protected replay (set SM_NIGHTLY=1 to run)");
+        return;
+    }
+    let net = shortcut_mining::model::zoo::resnet34(1);
+    let multi = |plan: FaultPlan, recovery| plan.with_multi_bit(1.0, 0.0).with_recovery(recovery);
+    let bcu = |p| FaultPlan::new(11).with_bcu_faults(1.0, p);
+    let sched = |p| FaultPlan::new(11).with_scheduler_faults(1.0, p);
+    let sites = |p| {
+        FaultPlan::new(11)
+            .with_weight_faults(0.8, p)
+            .with_pe_faults(0.8, p)
+    };
+    let plans = [
+        bcu(Protection::Parity),
+        bcu(Protection::Ecc),
+        multi(bcu(Protection::Ecc), RecoveryPolicy::RefetchTile),
+        multi(bcu(Protection::Ecc), RecoveryPolicy::RecomputeLayer),
+        sites(Protection::Parity),
+        sites(Protection::Ecc),
+        sched(Protection::Parity),
+        sched(Protection::Ecc),
+        multi(sched(Protection::Ecc), RecoveryPolicy::Checkpoint),
+        multi(sched(Protection::Ecc), RecoveryPolicy::RecomputeLayer),
+    ];
+    for plan in plans {
+        verify_value_preservation_with(
+            &net,
+            AccelConfig::default(),
+            Policy::shortcut_mining(),
+            5,
+            &SimOptions::with_faults(plan.clone()),
+        )
+        .unwrap_or_else(|e| panic!("{plan:?}: {e}"));
+    }
+}
