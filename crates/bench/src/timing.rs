@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use sm_accel::tiling::{plan_cache_clear, plan_conv_cached, ConvDims, PlanCacheSnapshot, TileCaps};
 use sm_accel::AccelConfig;
 use sm_core::parallel::set_threads;
-use sm_tensor::ops::{conv2d, conv2d_im2col, gemm_nt, gemm_nt_micro, Conv2dParams};
+use sm_tensor::ops::{conv2d, conv2d_im2col, gemm_kernel, gemm_nt, gemm_nt_micro, Conv2dParams};
 use sm_tensor::{Shape4, Tensor};
 
 use crate::cas::{ResultCache, SweepCtx};
@@ -70,6 +70,10 @@ pub struct BenchReport {
     /// `--assert-conv-speedup` floor guards.
     #[serde(default)]
     pub gemm_micro_speedup: f64,
+    /// Build of the microkernel this CPU selected: `"avx2"` or
+    /// `"portable"`. Empty in reports from builds that had one build only.
+    #[serde(default)]
+    pub gemm_kernel: String,
     /// Tiling planner over the key set with an empty cache.
     pub plan_cold_ms: f64,
     /// The same key set replayed against the warm cache.
@@ -269,6 +273,7 @@ pub fn run_bench(threads: usize) -> BenchReport {
         gemm_scalar_ms,
         gemm_micro_ms,
         gemm_micro_speedup: gemm_scalar_ms / gemm_micro_ms,
+        gemm_kernel: gemm_kernel().to_string(),
         plan_cold_ms,
         plan_warm_ms,
         plan_speedup: plan_cold_ms / plan_warm_ms,
@@ -292,7 +297,7 @@ impl BenchReport {
         format!(
             "suite: {:.0} ms serial -> {:.0} ms on {} threads, {} core(s) ({:.2}x, outputs identical: {})\n\
              conv 64x56x56 k3: {:.1} ms direct -> {:.1} ms im2col+gemm ({:.2}x)\n\
-             gemm 3136x576x64: {:.1} ms scalar -> {:.1} ms microkernel ({:.2}x)\n\
+             gemm 3136x576x64: {:.1} ms scalar -> {:.1} ms {} microkernel ({:.2}x)\n\
              tiling plans: {:.3} ms cold -> {:.3} ms warm ({:.1}x, {} hits / {} misses)\n\
              result cache: {:.1} ms cold -> {:.1} ms warm ({:.1}x, {} hits / {} misses, \
              {} B written / {} B read, identical: {})\n\
@@ -308,6 +313,7 @@ impl BenchReport {
             self.conv_speedup,
             self.gemm_scalar_ms,
             self.gemm_micro_ms,
+            self.gemm_kernel,
             self.gemm_micro_speedup,
             self.plan_cold_ms,
             self.plan_warm_ms,
@@ -425,6 +431,7 @@ mod tests {
             gemm_scalar_ms: 120.0,
             gemm_micro_ms: 20.0,
             gemm_micro_speedup: 6.0,
+            gemm_kernel: "avx2".into(),
             plan_cold_ms: 1.0,
             plan_warm_ms: 0.1,
             plan_speedup: 10.0,
@@ -491,6 +498,7 @@ mod tests {
         let back: BenchReport = from_json(&body).unwrap();
         assert_eq!(back.gemm_scalar_ms, r.gemm_scalar_ms);
         assert_eq!(back.gemm_micro_speedup, r.gemm_micro_speedup);
+        assert_eq!(back.gemm_kernel, r.gemm_kernel);
         assert_eq!(back.plan_cache_hits, r.plan_cache_hits);
         assert_eq!(back.result_cache_hits, r.result_cache_hits);
         assert!(back.result_warm_identical);
@@ -536,6 +544,7 @@ mod tests {
             "\"gemm_scalar_ms\":120,",
             "\"gemm_micro_ms\":20,",
             "\"gemm_micro_speedup\":6,",
+            "\"gemm_kernel\":\"avx2\",",
         ] {
             assert!(
                 body.contains(field),
@@ -547,7 +556,16 @@ mod tests {
         assert_eq!(back.gemm_scalar_ms, 0.0);
         assert_eq!(back.gemm_micro_ms, 0.0);
         assert_eq!(back.gemm_micro_speedup, 0.0);
+        assert_eq!(back.gemm_kernel, "");
         assert_eq!(back.suite_serial_ms, 1000.0);
         assert_eq!(back.provenance, "test");
+    }
+
+    #[test]
+    fn committed_report_parses_without_a_kernel_name() {
+        let body = include_str!("../../../BENCH_parallel.json");
+        let back: BenchReport = from_json(body).unwrap();
+        assert_eq!(back.gemm_kernel, "");
+        assert!(back.gemm_micro_speedup > 1.0);
     }
 }

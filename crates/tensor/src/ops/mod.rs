@@ -18,7 +18,7 @@ pub use batchnorm::{batch_norm, fold_batch_norm, BatchNormParams};
 pub use conv::{conv2d, Conv2dParams};
 pub use depthwise::depthwise_conv2d;
 pub use elementwise::{concat_channels, eltwise_add, relu, relu_in_place};
-pub use gemm::{gemm_nt, gemm_nt_micro, KC, MR, NR};
+pub use gemm::{gemm_kernel, gemm_nt, gemm_nt_micro, KC, MR, NR};
 pub use im2col::{conv2d_im2col, im2col};
 pub use linear::fully_connected;
 pub use pool::{avg_pool2d, global_avg_pool, max_pool2d, Pool2dParams};
