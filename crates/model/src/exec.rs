@@ -7,10 +7,10 @@
 //! outputs produced here — proving that buffer swapping, shortcut pinning and
 //! spilling are value-preserving.
 //!
-//! Convolutions run through im2col and the packed GEMM microkernel, split
-//! over the process-wide thread count, so ImageNet-scale graphs execute at
-//! paper scale: a ResNet-34 golden pass takes about 0.4 s on two AVX2
-//! cores.
+//! Convolutions run through the packed GEMM microkernel, which gathers
+//! conv patches from the input while packing, split over the process-wide
+//! thread count, so ImageNet-scale graphs execute at paper scale: a
+//! ResNet-34 golden pass takes about 0.3 s on two AVX2 cores.
 //! Every output is bit-identical at any thread count.
 
 use std::error::Error;
@@ -287,9 +287,9 @@ impl<'a> GoldenExecutor<'a> {
             LayerKind::Conv(spec) => {
                 arity(1)?;
                 let w = self.required_weights(id)?;
-                // im2col + blocked GEMM: same semantics as the direct
-                // conv2d loop (the reference oracle), much faster on the
-                // mid-size zoo networks.
+                // Lowered (implicit im2col) GEMM: same semantics as the
+                // direct conv2d loop (the reference oracle), much faster
+                // on the mid-size zoo networks.
                 let mut out = conv2d_im2col(
                     operands[0],
                     &w,

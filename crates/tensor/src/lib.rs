@@ -6,11 +6,15 @@
 //! accelerator executes (convolution, pooling, fully-connected, element-wise
 //! addition, channel concatenation, ReLU).
 //!
-//! These operators are deliberately unoptimized. They exist so that the
-//! cycle-level simulators in `sm-accel` and `sm-core` can be checked for
-//! *value preservation*: any schedule of tiled execution, buffer relabelling,
-//! shortcut pinning and spilling must produce bit-identical outputs to the
-//! reference computed here.
+//! These operators exist so that the cycle-level simulators in `sm-accel`
+//! and `sm-core` can be checked for *value preservation*: any schedule of
+//! tiled execution, buffer relabelling, shortcut pinning and spilling must
+//! produce bit-identical outputs to the reference computed here. Most are
+//! plain loops. The exception is the lowered convolution
+//! ([`ops::conv2d_im2col`]) that golden execution runs at paper scale: it
+//! gathers conv patches inside a packed, multi-threaded GEMM microkernel,
+//! and tests hold it bit-identical to simple oracles ([`ops::im2col`]
+//! followed by the scalar [`ops::gemm_nt`]) at every thread count.
 //!
 //! # Example
 //!

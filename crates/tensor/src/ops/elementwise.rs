@@ -65,11 +65,13 @@ pub fn relu(input: &Tensor) -> Tensor {
 }
 
 /// Rectified linear unit applied in place.
+///
+/// Negative values become `+0.0`; `-0.0` and NaN are kept as they are
+/// (neither compares below zero). Every element is stored unconditionally,
+/// so the loop compiles to a branch-free select.
 pub fn relu_in_place(t: &mut Tensor) {
     for x in t.as_mut_slice() {
-        if *x < 0.0 {
-            *x = 0.0;
-        }
+        *x = if *x < 0.0 { 0.0 } else { *x };
     }
 }
 
@@ -120,5 +122,23 @@ mod tests {
         let mut m = t.clone();
         relu_in_place(&mut m);
         assert_eq!(m.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_keeps_signed_zero_nan_and_infinities_bit_for_bit() {
+        let specials = [
+            -0.0,
+            0.0,
+            -1.0,
+            1.0,
+            f32::NAN,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        let mut t = Tensor::from_vec(Shape4::new(1, 1, 1, 7), specials.to_vec()).unwrap();
+        relu_in_place(&mut t);
+        let bits: Vec<u32> = t.as_slice().iter().map(|x| x.to_bits()).collect();
+        let want = [-0.0, 0.0, 0.0, 1.0, f32::NAN, 0.0, f32::INFINITY].map(f32::to_bits);
+        assert_eq!(bits, want);
     }
 }

@@ -1,9 +1,10 @@
 //! The process-wide worker count.
 //!
 //! One setting sizes every parallel loop in the workspace: the row-slab
-//! split of [`gemm_nt_micro`](crate::ops::gemm_nt_micro) here and the sweep
-//! pool of `sm_core::parallel`, which re-exports these functions. The count
-//! resolves in priority order:
+//! split of [`gemm_nt_micro`](crate::ops::gemm_nt_micro) and the NCHW
+//! write of [`conv2d_im2col`](crate::ops::conv2d_im2col) here, and the
+//! sweep pool of `sm_core::parallel`, which re-exports these functions.
+//! The count resolves in priority order:
 //!
 //! 1. an explicit override, applied via [`set_threads`] (the binaries'
 //!    `--threads <n>` flag lands here);
@@ -41,6 +42,26 @@ fn env_threads() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
+}
+
+/// Runs `f(i, chunk)` for every `(i, chunk)` of
+/// `out.chunks_mut(chunk_len).enumerate()`, one scoped thread per chunk, or
+/// inline when there is only one chunk.
+pub(crate) fn for_each_chunk<T: Send>(
+    out: &mut [T],
+    chunk_len: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if out.len() <= chunk_len {
+        f(0, out);
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
+            scope.spawn(move || f(i, chunk));
+        }
+    });
 }
 
 #[cfg(test)]

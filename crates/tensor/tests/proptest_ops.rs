@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use sm_tensor::ops::{
-    avg_pool2d, conv2d, conv2d_im2col, conv_out_dim, eltwise_add, gemm_nt, gemm_nt_micro,
+    avg_pool2d, conv2d, conv2d_im2col, conv_out_dim, eltwise_add, gemm_nt, gemm_nt_micro, im2col,
     max_pool2d, relu, Conv2dParams, Pool2dParams, KC, MR, NR,
 };
 use sm_tensor::{Shape4, Tensor};
@@ -113,7 +113,9 @@ proptest! {
         );
     }
 
-    /// Two independent convolution implementations agree everywhere.
+    /// Two independent convolution implementations agree everywhere, and
+    /// the lowered one is bit-identical to multiplying the explicit im2col
+    /// matrix with the scalar GEMM.
     #[test]
     fn direct_and_lowered_convolutions_agree(g in geometry(), seed in 0u64..500) {
         let input = Tensor::random(Shape4::new(g.batch, g.in_c, g.hw, g.hw), seed);
@@ -122,6 +124,17 @@ proptest! {
         let a = conv2d(&input, &weights, None, params).unwrap();
         let b = conv2d_im2col(&input, &weights, None, params).unwrap();
         prop_assert!(a.all_close(&b, 1e-4), "diff {}", a.max_abs_diff(&b).unwrap());
+
+        let (patches, rows, cols) = im2col(&input, params).unwrap();
+        let prod = gemm_nt(&patches, weights.as_slice(), rows, cols, g.out_c);
+        let plane = rows / g.batch;
+        for (i, v) in b.as_slice().iter().enumerate() {
+            let (n, ch, pos) = (i / (g.out_c * plane), i / plane % g.out_c, i % plane);
+            // With no bias the lowered conv still adds 0.0, which turns
+            // a -0.0 sum into +0.0.
+            let want = prod[(n * plane + pos) * g.out_c + ch] + 0.0;
+            prop_assert_eq!(v.to_bits(), want.to_bits(), "element {}", i);
+        }
     }
 
     /// Convolution is linear: conv(x + y) == conv(x) + conv(y).
