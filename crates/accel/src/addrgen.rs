@@ -6,12 +6,12 @@
 //!
 //! * [`weight_stream`] — weights are packed contiguously and stream
 //!   sequentially: near-peak bandwidth.
-//! * [`fm_tile_stream`] — a feature-map tile load in NCHW layout issues one
-//!   short span per (channel, tile-row); the channel stride is `H*W*elem`
+//! * [`fm_stream_cost`] — a feature-map tile load in NCHW layout issues one
+//!   short span per (channel, input row); the channel stride is `H*W*elem`
 //!   bytes (≈ a DRAM page for mid-network layers), so consecutive spans hop
 //!   rows and the effective bandwidth collapses toward the row-miss floor.
-//! * [`effective_fm_bandwidth`] — replays a layer's full tile schedule and
-//!   returns the payload bytes per cycle the FM channel actually sustains.
+//!   The layer's whole tile schedule is replayed span by span straight into
+//!   the channel; no span list is built.
 
 use sm_mem::ddr::{DdrChannel, DdrCost};
 
@@ -22,19 +22,20 @@ pub fn weight_stream(base: u64, bytes: u64) -> impl Iterator<Item = (u64, u64)> 
     std::iter::once((base, bytes))
 }
 
-/// Address spans of one input-tile load: output tile rows `[r0, r1)` ×
-/// columns `[c0, c1)` across all input channels, NCHW row-major layout with
-/// element size `elem_bytes`, feature map based at `base`.
+/// Calls `emit(addr, len)` for every span of one input-tile load: output
+/// tile rows `[r0, r1)` × columns `[c0, c1)` across all input channels,
+/// NCHW row-major layout with element size `elem_bytes`, feature map based
+/// at address 0.
 ///
 /// One span per (channel, input row): the contiguous run of columns the
 /// (halo-expanded) tile touches.
-pub fn fm_tile_spans(
+fn for_each_tile_span(
     dims: ConvDims,
     (r0, r1): (usize, usize),
     (c0, c1): (usize, usize),
     elem_bytes: u64,
-    base: u64,
-) -> Vec<(u64, u64)> {
+    emit: &mut impl FnMut(u64, u64),
+) {
     let clip = |o0: usize, o1: usize, extent: usize| -> (usize, usize) {
         let lo = (o0 * dims.stride) as isize - dims.pad as isize;
         let hi = ((o1 - 1) * dims.stride + dims.kernel) as isize - dims.pad as isize;
@@ -46,34 +47,32 @@ pub fn fm_tile_spans(
     let (y0, y1) = clip(r0, r1, dims.in_h);
     let (x0, x1) = clip(c0, c1, dims.in_w);
     let row_bytes = (x1 - x0) as u64 * elem_bytes;
-    let mut spans = Vec::with_capacity(dims.in_c * (y1.saturating_sub(y0)));
+    if row_bytes == 0 {
+        return;
+    }
     for c in 0..dims.in_c {
         for y in y0..y1 {
-            let addr = base + (((c * dims.in_h + y) * dims.in_w + x0) as u64) * elem_bytes;
-            if row_bytes > 0 {
-                spans.push((addr, row_bytes));
-            }
+            let addr = (((c * dims.in_h + y) * dims.in_w + x0) as u64) * elem_bytes;
+            emit(addr, row_bytes);
         }
     }
-    spans
 }
 
-/// Full tile-load address stream of a planned layer (one image).
-pub fn fm_tile_stream(
+/// Calls `emit(addr, len)` for every span of a planned layer's full
+/// tile-load stream (one image), tiles in row-major order.
+fn for_each_fm_span(
     dims: ConvDims,
     plan: &TilePlan,
     elem_bytes: u64,
-    base: u64,
-) -> Vec<(u64, u64)> {
-    let mut spans = Vec::new();
+    mut emit: impl FnMut(u64, u64),
+) {
     for r0 in (0..dims.out_h).step_by(plan.tr.max(1)) {
         let r1 = (r0 + plan.tr).min(dims.out_h);
         for c0 in (0..dims.out_w).step_by(plan.tc.max(1)) {
             let c1 = (c0 + plan.tc).min(dims.out_w);
-            spans.extend(fm_tile_spans(dims, (r0, r1), (c0, c1), elem_bytes, base));
+            for_each_tile_span(dims, (r0, r1), (c0, c1), elem_bytes, &mut emit);
         }
     }
-    spans
 }
 
 /// Replays a layer's tile-load stream through a DDR channel and returns the
@@ -85,18 +84,11 @@ pub fn fm_stream_cost(
     elem_bytes: u64,
 ) -> DdrCost {
     channel.reset();
-    channel.cost_of_stream(fm_tile_stream(dims, plan, elem_bytes, 0))
-}
-
-/// Effective payload bandwidth (bytes/cycle) the FM channel sustains on a
-/// layer's input-tile pattern.
-pub fn effective_fm_bandwidth(
-    channel: &mut DdrChannel,
-    dims: ConvDims,
-    plan: &TilePlan,
-    elem_bytes: u64,
-) -> f64 {
-    fm_stream_cost(channel, dims, plan, elem_bytes).effective_bytes_per_cycle()
+    let mut cost = DdrCost::default();
+    for_each_fm_span(dims, plan, elem_bytes, |addr, len| {
+        channel.access_span(addr, len, &mut cost)
+    });
+    cost
 }
 
 #[cfg(test)]
@@ -133,7 +125,8 @@ mod tests {
     #[test]
     fn tile_spans_cover_the_expected_bytes() {
         let d = dims();
-        let spans = fm_tile_spans(d, (0, 28), (0, 28), 2, 0);
+        let mut spans = Vec::new();
+        for_each_tile_span(d, (0, 28), (0, 28), 2, &mut |a, l| spans.push((a, l)));
         // Whole feature map in one tile: C*H rows of W*elem bytes.
         assert_eq!(spans.len(), 128 * 28);
         let total: u64 = spans.iter().map(|(_, l)| l).sum();
@@ -142,13 +135,13 @@ mod tests {
 
     #[test]
     fn weights_sustain_far_more_bandwidth_than_fm_tiles() {
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).unwrap();
         let w_cost = ch.cost_of_stream(weight_stream(0, 4 << 20));
         let w_eff = w_cost.effective_bytes_per_cycle();
 
         let d = dims();
         let plan = plan_conv(d, small_caps(), 64, 64, 2);
-        let fm_eff = effective_fm_bandwidth(&mut ch, d, &plan, 2);
+        let fm_eff = fm_stream_cost(&mut ch, d, &plan, 2).effective_bytes_per_cycle();
 
         assert!(w_eff > 55.0, "weights {w_eff}");
         assert!(fm_eff < w_eff / 3.0, "fm {fm_eff} vs weights {w_eff}");
@@ -183,12 +176,12 @@ mod tests {
             out_w: 7,
             ..wide
         };
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).unwrap();
         let caps = small_caps();
         let w_plan = plan_conv(wide, caps, 64, 64, 2);
         let n_plan = plan_conv(narrow, caps, 64, 64, 2);
-        let wide_eff = effective_fm_bandwidth(&mut ch, wide, &w_plan, 2);
-        let narrow_eff = effective_fm_bandwidth(&mut ch, narrow, &n_plan, 2);
+        let wide_eff = fm_stream_cost(&mut ch, wide, &w_plan, 2).effective_bytes_per_cycle();
+        let narrow_eff = fm_stream_cost(&mut ch, narrow, &n_plan, 2).effective_bytes_per_cycle();
         assert!(
             wide_eff > narrow_eff,
             "wide {wide_eff} !> narrow {narrow_eff}"
@@ -199,7 +192,7 @@ mod tests {
     fn stream_cost_matches_requested_traffic() {
         let d = dims();
         let plan = plan_conv(d, small_caps(), 64, 64, 2);
-        let mut ch = DdrChannel::new(DdrTimings::default());
+        let mut ch = DdrChannel::new(DdrTimings::default()).unwrap();
         let cost = fm_stream_cost(&mut ch, d, &plan, 2);
         // The replayed payload equals the halo-expanded fetch the traffic
         // model charges (per image).

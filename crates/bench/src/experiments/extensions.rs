@@ -8,6 +8,8 @@ use sm_core::{Experiment, Policy, SpillOrder};
 use sm_model::zoo;
 use sm_model::Network;
 
+use super::headline::compare;
+use crate::cas::SweepCtx;
 use crate::report::{mb, pct, Table};
 
 /// Generic `(x, network, reduction, speedup)` rows (shared row shape with
@@ -62,28 +64,50 @@ pub fn ext_new_workloads(config: AccelConfig, batch: usize) -> ExtSweepResult {
 /// Ext-2: speedup vs the feature-map channel's effective bandwidth — where
 /// the design crosses from FM-traffic-bound to compute/weight-bound.
 pub fn ext_bandwidth_sweep(base: AccelConfig, batch: usize) -> ExtSweepResult {
-    let mut table = Table::new(
+    let configs: Vec<AccelConfig> = [2.0f64, 4.0, 6.0, 12.0, 24.0, 48.0]
+        .iter()
+        .map(|&bytes_per_cycle| {
+            let mut cfg = base;
+            cfg.fm_dram.bytes_per_cycle = bytes_per_cycle;
+            cfg
+        })
+        .collect();
+    grid_sweep(
         "Ext 2 - speedup vs feature-map channel bandwidth",
-        &["FM bandwidth (GB/s)", "network", "reduction", "speedup"],
-    );
+        "FM bandwidth (GB/s)",
+        &configs,
+        |cfg| format!("{:.1}", cfg.fm_dram.bytes_per_cycle * cfg.clock_hz / 1e9),
+        batch,
+    )
+}
+
+/// The (config × evaluated network) comparison grid behind Ext 2 and
+/// Ext 5: one `(x_label(config), network, reduction, speedup)` row per
+/// cell, config-major.
+fn grid_sweep(
+    title: &str,
+    x_header: &str,
+    configs: &[AccelConfig],
+    x_label: impl Fn(&AccelConfig) -> String,
+    batch: usize,
+) -> ExtSweepResult {
+    let nets = zoo::evaluated_networks(batch);
+    let cells = compare(configs, &nets, SweepCtx::default())
+        .expect("a sweep without a cancel source cannot be cancelled");
+    let mut table = Table::new(title, &[x_header, "network", "reduction", "speedup"]);
     let mut rows = Vec::new();
-    for bytes_per_cycle in [2.0f64, 4.0, 6.0, 12.0, 24.0, 48.0] {
-        let mut cfg = base;
-        cfg.fm_dram.bytes_per_cycle = bytes_per_cycle;
-        let exp = Experiment::new(cfg);
-        let gbps = bytes_per_cycle * cfg.clock_hz / 1e9;
-        for net in zoo::evaluated_networks(batch) {
-            let cmp = exp.compare(&net);
-            let red = cmp.traffic_reduction();
-            let sp = cmp.speedup();
-            table.row(&[
-                format!("{gbps:.1}"),
-                net.name().to_string(),
-                pct(red),
-                format!("{sp:.2}x"),
-            ]);
-            rows.push((format!("{gbps:.1}"), net.name().to_string(), red, sp));
-        }
+    let labels = configs
+        .iter()
+        .flat_map(|cfg| std::iter::repeat_n(x_label(cfg), nets.len()));
+    for (x, cell) in labels.zip(cells) {
+        let (red, sp) = (cell.traffic_reduction, cell.speedup);
+        table.row(&[
+            x.clone(),
+            cell.network.clone(),
+            pct(red),
+            format!("{sp:.2}x"),
+        ]);
+        rows.push((x, cell.network, red, sp));
     }
     ExtSweepResult { rows, table }
 }
@@ -164,29 +188,21 @@ pub fn ext_spill_order(base: AccelConfig, batch: usize) -> ExtSweepResult {
 /// Ext-5: datatype sensitivity — 8-bit halves every feature map, doubling
 /// the effective pool coverage.
 pub fn ext_datatype(base: AccelConfig, batch: usize) -> ExtSweepResult {
-    let mut table = Table::new(
+    let configs: Vec<AccelConfig> = [1u64, 2, 4]
+        .iter()
+        .map(|&elem| {
+            let mut cfg = base;
+            cfg.elem_bytes = elem;
+            cfg
+        })
+        .collect();
+    grid_sweep(
         "Ext 5 - datatype width",
-        &["element bytes", "network", "reduction", "speedup"],
-    );
-    let mut rows = Vec::new();
-    for elem in [1u64, 2, 4] {
-        let mut cfg = base;
-        cfg.elem_bytes = elem;
-        let exp = Experiment::new(cfg);
-        for net in zoo::evaluated_networks(batch) {
-            let cmp = exp.compare(&net);
-            let red = cmp.traffic_reduction();
-            let sp = cmp.speedup();
-            table.row(&[
-                elem.to_string(),
-                net.name().to_string(),
-                pct(red),
-                format!("{sp:.2}x"),
-            ]);
-            rows.push((elem.to_string(), net.name().to_string(), red, sp));
-        }
-    }
-    ExtSweepResult { rows, table }
+        "element bytes",
+        &configs,
+        |cfg| cfg.elem_bytes.to_string(),
+        batch,
+    )
 }
 
 /// Ext-6: analytic-vs-event-driven cycle model validation. For every
@@ -385,13 +401,9 @@ pub fn ext_bound_breakdown(config: AccelConfig, batch: usize) -> ExtSweepResult 
 /// refresh, and the FPGA memory-controller efficiency on short bursts) and
 /// is recorded as a calibration honesty note in EXPERIMENTS.md.
 pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
-    use sm_accel::addrgen::{fm_stream_cost, weight_stream};
-    use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps};
-    use sm_accel::BaselineAccelerator;
+    use sm_accel::addrgen::weight_stream;
     use sm_mem::ddr::{DdrChannel, DdrTimings};
 
-    let caps: TileCaps = BaselineAccelerator::new(config).tile_caps();
-    let mut channel = DdrChannel::new(DdrTimings::default());
     let mut table = Table::new(
         "Ext 10 - derived effective DRAM bandwidth (DDR row-buffer model)",
         &[
@@ -402,32 +414,14 @@ pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
             "configured fm / w (B/cyc)",
         ],
     );
+    let w_cost = DdrChannel::new(DdrTimings::default())
+        .expect("the default DDR geometry is valid")
+        .cost_of_stream(weight_stream(0, 16 << 20));
     let mut rows = Vec::new();
-    for net in zoo::evaluated_networks(batch) {
-        let (mut cycles, mut bytes, mut hits, mut bursts) = (0u64, 0u64, 0u64, 0u64);
-        for layer in net.layers() {
-            let Some(dims) = ConvDims::from_layer(&net, layer) else {
-                continue;
-            };
-            let plan = plan_conv_cached(
-                dims,
-                caps,
-                config.pe_rows,
-                config.pe_cols,
-                config.elem_bytes,
-            );
-            let cost = fm_stream_cost(&mut channel, dims, &plan, config.elem_bytes);
-            cycles += cost.cycles;
-            bytes += cost.bytes_requested;
-            hits += cost.row_hits;
-            bursts += cost.row_hits + cost.row_misses;
-        }
-        channel.reset();
-        let w_cost = channel.cost_of_stream(weight_stream(0, 16 << 20));
-        let fm_eff = bytes as f64 / cycles.max(1) as f64;
-        let hit_rate = hits as f64 / bursts.max(1) as f64;
+    for (name, fm) in fm_ddr_costs(config, batch) {
+        let (fm_eff, hit_rate) = (fm.effective_bytes_per_cycle(), fm.row_hit_rate());
         table.row(&[
-            net.name().to_string(),
+            name.clone(),
             format!("{fm_eff:.1}"),
             pct(hit_rate),
             format!("{:.1}", w_cost.effective_bytes_per_cycle()),
@@ -436,9 +430,63 @@ pub fn ext_ddr_bandwidth(config: AccelConfig, batch: usize) -> ExtSweepResult {
                 config.fm_dram.bytes_per_cycle, config.weight_dram.bytes_per_cycle
             ),
         ]);
-        rows.push((net.name().to_string(), "fm".to_string(), fm_eff, hit_rate));
+        rows.push((name, "fm".to_string(), fm_eff, hit_rate));
     }
     ExtSweepResult { rows, table }
+}
+
+/// Ext-10's per-network feature-map DDR cost: every conv layer's tile-load
+/// stream replayed on a fresh channel, summed per evaluated network. One
+/// pool dispatch covers every layer of every network, weighted by input
+/// size; the sums run in layer order.
+fn fm_ddr_costs(config: AccelConfig, batch: usize) -> Vec<(String, sm_mem::ddr::DdrCost)> {
+    use sm_accel::addrgen::fm_stream_cost;
+    use sm_accel::tiling::{plan_conv_cached, ConvDims, TileCaps};
+    use sm_accel::BaselineAccelerator;
+    use sm_core::parallel::{par_map_weighted, threads};
+    use sm_mem::ddr::{DdrChannel, DdrCost, DdrTimings};
+
+    let caps: TileCaps = BaselineAccelerator::new(config).tile_caps();
+    let nets = zoo::evaluated_networks(batch);
+    let layers: Vec<(usize, ConvDims)> = nets
+        .iter()
+        .enumerate()
+        .flat_map(|(i, net)| {
+            net.layers()
+                .iter()
+                .filter_map(move |layer| ConvDims::from_layer(net, layer).map(|d| (i, d)))
+        })
+        .collect();
+    let costs = par_map_weighted(
+        &layers,
+        threads(),
+        |(_, dims)| dims.ifm_elems(),
+        |&(_, dims)| {
+            let plan = plan_conv_cached(
+                dims,
+                caps,
+                config.pe_rows,
+                config.pe_cols,
+                config.elem_bytes,
+            );
+            let mut channel =
+                DdrChannel::new(DdrTimings::default()).expect("the default DDR geometry is valid");
+            fm_stream_cost(&mut channel, dims, &plan, config.elem_bytes)
+        },
+    );
+    let mut sums = vec![DdrCost::default(); nets.len()];
+    for ((i, _), cost) in layers.iter().zip(costs) {
+        let sum = &mut sums[*i];
+        sum.bytes_requested += cost.bytes_requested;
+        sum.bytes_on_bus += cost.bytes_on_bus;
+        sum.cycles += cost.cycles;
+        sum.row_hits += cost.row_hits;
+        sum.row_misses += cost.row_misses;
+    }
+    nets.iter()
+        .map(|n| n.name().to_string())
+        .zip(sums)
+        .collect()
 }
 
 /// Ext-11: hardware cost of the logical-buffer mechanism — the Buffer
@@ -704,6 +752,37 @@ mod tests {
             assert!(*fm_eff < 48.0, "{name}: {fm_eff}");
             assert!(*fm_eff > 1.5, "{name}: {fm_eff}");
             assert!((0.0..1.0).contains(hit_rate), "{name}");
+        }
+    }
+
+    #[test]
+    fn fm_ddr_counters_are_pinned() {
+        // Summed fm `DdrCost` per evaluated network, as the burst-by-burst
+        // serial replay counted them: (requested, on bus, cycles, hits,
+        // misses).
+        let want: [(&str, [u64; 5]); 3] = [
+            (
+                "squeezenet_v10_simple_bypass",
+                [6_178_504, 13_432_832, 240_635, 206_407, 3_481],
+            ),
+            ("resnet34", [7_343_054, 16_488_064, 291_949, 253_718, 3_908]),
+            (
+                "resnet152",
+                [44_259_790, 111_259_264, 1_875_310, 1_722_805, 15_621],
+            ),
+        ];
+        let got = fm_ddr_costs(AccelConfig::default(), 1);
+        assert_eq!(got.len(), want.len());
+        for ((name, c), (want_name, w)) in got.iter().zip(want) {
+            assert_eq!(name, want_name);
+            let counters = [
+                c.bytes_requested,
+                c.bytes_on_bus,
+                c.cycles,
+                c.row_hits,
+                c.row_misses,
+            ];
+            assert_eq!(counters, w, "{name}");
         }
     }
 

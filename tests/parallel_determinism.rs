@@ -9,10 +9,11 @@
 use shortcut_mining::accel::AccelConfig;
 use shortcut_mining::bench::cas::SweepCtx;
 use shortcut_mining::bench::experiments::{
-    chaos_curve, chaos_grid, chaos_grid3, control_path, fig10_traffic_reduction,
-    fig11_traffic_breakdown, fig13_throughput, fig14_capacity_sweep, fig15_batch_sweep,
-    retry_budget, CONTROL_PATH_POLICIES, DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS,
-    DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES, DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
+    chaos_curve, chaos_grid, chaos_grid3, control_path, ext_bandwidth_sweep, ext_datatype,
+    ext_ddr_bandwidth, fig10_traffic_reduction, fig11_traffic_breakdown, fig13_throughput,
+    fig14_capacity_sweep, fig15_batch_sweep, retry_budget, CONTROL_PATH_POLICIES,
+    DEFAULT_CONTROL_PATH_RATES, DEFAULT_FRACTIONS, DEFAULT_GRID_FRACTIONS, DEFAULT_GRID_RATES,
+    DEFAULT_GRID_SITE_RATES, DEFAULT_RETRY_BUDGETS,
 };
 use shortcut_mining::bench::json::to_json;
 use shortcut_mining::core::parallel::set_threads;
@@ -28,6 +29,9 @@ fn render_all() -> String {
     out.push_str(&fig13_throughput(cfg, 1).table.render());
     out.push_str(&fig14_capacity_sweep(cfg, 1).table.render());
     out.push_str(&fig15_batch_sweep(cfg).table.render());
+    out.push_str(&ext_bandwidth_sweep(cfg, 1).table.render());
+    out.push_str(&ext_datatype(cfg, 1).table.render());
+    out.push_str(&ext_ddr_bandwidth(cfg, 1).table.render());
     let curve = chaos_curve(
         &net,
         cfg,
